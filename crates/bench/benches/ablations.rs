@@ -2,14 +2,12 @@
 //!
 //! * bandwidth rule and kernel choice (KDE quality knobs → fit/eval cost),
 //! * greedy vs Hungarian association inside the tracker,
-//! * scoring scope mode (Within vs Touching),
-//! * sum-product marginals vs normalized log-score on a track-shaped
-//!   graph (the related-work comparison).
+//! * scoring scope mode (Within vs Touching).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loa_assoc::{build_tracks, TrackerConfig};
 use loa_geom::Box3;
-use loa_graph::{DiscreteFactor, FactorGraph, ScopeMode, SumProduct};
+use loa_graph::{FactorGraph, ScopeMode};
 use loa_stats::{BandwidthRule, Density1d, Kde1d, Kernel};
 use std::hint::black_box;
 
@@ -106,40 +104,10 @@ fn bench_scope_modes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sum_product_vs_score(c: &mut Criterion) {
-    // A binary chain: sum-product marginals vs the normalized log score
-    // used by LOA — cost comparison of exact inference vs scoring.
-    let n = 50;
-    let mut g: loa_graph::sum_product::DiscreteGraph = FactorGraph::new();
-    let vars: Vec<_> = (0..n).map(|_| g.add_var(2)).collect();
-    for &v in &vars {
-        g.add_factor(DiscreteFactor::new(vec![0.7, 0.3]), vec![v]).unwrap();
-    }
-    for w in vars.windows(2) {
-        g.add_factor(DiscreteFactor::new(vec![0.9, 0.1, 0.1, 0.9]), vec![w[0], w[1]])
-            .unwrap();
-    }
-    let (score_graph, score_vars) = chain_graph(n);
-
-    let mut group = c.benchmark_group("ablation_inference");
-    group.sample_size(20);
-    group.bench_function("sum_product_marginals", |b| {
-        b.iter(|| black_box(SumProduct::marginals(black_box(&g)).unwrap().len()))
-    });
-    group.bench_function("normalized_log_score", |b| {
-        b.iter(|| {
-            let s = score_graph.score_component(black_box(&score_vars), ScopeMode::Within, |&p| p);
-            black_box(s.score)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_kernels_and_bandwidths,
     bench_tracker_matchers,
-    bench_scope_modes,
-    bench_sum_product_vs_score
+    bench_scope_modes
 );
 criterion_main!(benches);

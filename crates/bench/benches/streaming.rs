@@ -18,7 +18,7 @@
 //!   (O(workers) scenes resident) against load-everything + `run`.
 //! * `streaming/incremental_rescore_per_frame` vs
 //!   `full_rescore_per_frame` — the O(Δ) cached-component path
-//!   (`update_snapshot` + `rescore_delta` + cached sweep) against a
+//!   (`update_rescored` + cached sweep) against a
 //!   from-scratch compile+score of every snapshot, on a short and a
 //!   long scene. Divide medians by the frame count for per-frame cost:
 //!   the full path grows with scene length, the incremental path stays
@@ -235,8 +235,7 @@ fn bench_incremental_rescore(c: &mut Criterion) {
                 let mut acc = 0usize;
                 for frame in &data.frames {
                     assembler.push_frame(black_box(frame)).expect("push");
-                    assembler.update_snapshot(&mut scene).expect("update");
-                    scorer.rescore_delta(&scene, assembler.last_delta().expect("delta"));
+                    assembler.update_rescored(&mut scene, &mut scorer).expect("rescore");
                     acc += scorer.score_all_tracks(&scene).len();
                 }
                 assembler.finalize().expect("finalize");
@@ -293,8 +292,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         let mut acc = 0usize;
         for frame in &data.frames {
             assembler.push_frame(black_box(frame)).expect("push");
-            assembler.update_snapshot(&mut scene).expect("update");
-            scorer.rescore_delta(&scene, assembler.last_delta().expect("delta"));
+            assembler.update_rescored(&mut scene, scorer).expect("rescore");
             acc += scorer.score_all_tracks(&scene).len();
         }
         assembler.finalize().expect("finalize");

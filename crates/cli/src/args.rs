@@ -1,6 +1,7 @@
 //! Argument parsing (hand-rolled; the workspace avoids heavyweight CLI
 //! dependencies).
 
+use loa_serve::ServeApp;
 use std::path::PathBuf;
 
 /// Top-level usage text.
@@ -21,7 +22,12 @@ USAGE:
     fixy bench-record --json <FILE> [--out <FILE>] [--note <TEXT>]
     fixy help
 
-APPS: missing-tracks (default), missing-obs, model-errors
+APPS: missing-tracks (default), missing-obs, model-errors, label-audit
+
+Every command that takes --app (learn, rank, stream, serve) accepts all
+four apps. rank --grade marks missing-tracks and model-errors
+candidates against the scene's injected errors; missing-obs and
+label-audit rows stay ungraded.
 
 Library files come in two wire formats, auto-detected on load (by
 extension, then by magic bytes): v1 JSON (human-readable, the default)
@@ -84,34 +90,6 @@ snapshot file (default BENCH_pipeline.json) as a new dated snapshot with
 toolchain and host metadata — see scripts/bench_record.sh.
 ";
 
-/// Which application pipeline to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum App {
-    #[default]
-    MissingTracks,
-    MissingObs,
-    ModelErrors,
-}
-
-impl App {
-    pub fn parse(s: &str) -> Result<App, ParseError> {
-        match s {
-            "missing-tracks" => Ok(App::MissingTracks),
-            "missing-obs" => Ok(App::MissingObs),
-            "model-errors" => Ok(App::ModelErrors),
-            other => Err(ParseError(format!("unknown app '{other}'"))),
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            App::MissingTracks => "missing-tracks",
-            App::MissingObs => "missing-obs",
-            App::ModelErrors => "model-errors",
-        }
-    }
-}
-
 /// `fixy generate`.
 #[derive(Debug, Clone)]
 pub struct GenerateArgs {
@@ -154,7 +132,7 @@ impl LibFormat {
 #[derive(Debug, Clone)]
 pub struct LearnArgs {
     pub data: PathBuf,
-    pub app: App,
+    pub app: ServeApp,
     pub out: PathBuf,
     /// Wire format for the written library file.
     pub out_format: LibFormat,
@@ -167,7 +145,7 @@ pub struct RankArgs {
     /// `.json` scene is ranked in parallel through the scene pipeline).
     pub scene: PathBuf,
     pub library: PathBuf,
-    pub app: App,
+    pub app: ServeApp,
     pub top: usize,
     /// Grade candidates against the scene's injected-error record.
     pub grade: bool,
@@ -194,7 +172,7 @@ pub struct StreamArgs {
     /// One scene file (`.json` or `.fscb`) to replay frame-by-frame.
     pub scene: PathBuf,
     pub library: PathBuf,
-    pub app: App,
+    pub app: ServeApp,
     pub top: usize,
     /// Also run the full (from-scratch) compile+score every frame,
     /// report delta-vs-full latency, and fail on any divergence.
@@ -209,7 +187,7 @@ pub struct ServeArgs {
     /// Bind address, e.g. `127.0.0.1:7400` (`:0` lets the OS pick).
     pub listen: String,
     pub library: PathBuf,
-    pub app: App,
+    pub app: ServeApp,
     /// Reorder-buffer window per session.
     pub window: u32,
     /// Per-session frame budget.
@@ -349,6 +327,16 @@ impl Flags {
         self.pairs.get(name).map(String::as_str)
     }
 
+    /// `--app`, defaulting to missing-tracks.
+    fn app(&self) -> Result<ServeApp, ParseError> {
+        match self.optional("app") {
+            None => Ok(ServeApp::default()),
+            Some(name) => {
+                ServeApp::parse(name).ok_or_else(|| ParseError(format!("unknown app '{name}'")))
+            }
+        }
+    }
+
     fn parse_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ParseError> {
         match self.optional(name) {
             None => Ok(default),
@@ -391,7 +379,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let flags = collect_flags(rest, &[])?;
             Ok(Command::Learn(LearnArgs {
                 data: PathBuf::from(flags.required("data")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.app()?,
                 out: PathBuf::from(flags.required("out")?),
                 out_format: flags
                     .optional("out-format")
@@ -405,7 +393,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Rank(RankArgs {
                 scene: PathBuf::from(flags.required("scene")?),
                 library: PathBuf::from(flags.required("library")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.app()?,
                 top: flags.parse_num("top", 10usize)?,
                 grade: flags.switches.contains("grade"),
             }))
@@ -438,7 +426,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Stream(StreamArgs {
                 scene: PathBuf::from(flags.required("scene")?),
                 library: PathBuf::from(flags.required("library")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.app()?,
                 top: flags.parse_num("top", 5usize)?,
                 compare_full: flags.switches.contains("compare-full"),
                 trace: flags.switches.contains("trace"),
@@ -449,7 +437,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Serve(ServeArgs {
                 listen: flags.required("listen")?.to_string(),
                 library: PathBuf::from(flags.required("library")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.app()?,
                 window: flags.parse_num("window", 8u32)?,
                 max_frames: flags.parse_num("max-frames", 100_000usize)?,
                 max_sessions: flags.parse_num("max-sessions", 4096usize)?,
@@ -561,12 +549,12 @@ mod tests {
     fn learn_defaults_app() {
         let cmd = parse(&argv("learn --data d --out l.json")).unwrap();
         match cmd {
-            Command::Learn(l) => assert_eq!(l.app, App::MissingTracks),
+            Command::Learn(l) => assert_eq!(l.app, ServeApp::MissingTracks),
             other => panic!("{other:?}"),
         }
         let cmd = parse(&argv("learn --data d --app model-errors --out l.json")).unwrap();
         match cmd {
-            Command::Learn(l) => assert_eq!(l.app, App::ModelErrors),
+            Command::Learn(l) => assert_eq!(l.app, ServeApp::ModelErrors),
             other => panic!("{other:?}"),
         }
     }
@@ -672,7 +660,7 @@ mod tests {
         match parse(&argv("stream --scene s.fscb --library l.json --top 3")).unwrap() {
             Command::Stream(s) => {
                 assert_eq!(s.scene, PathBuf::from("s.fscb"));
-                assert_eq!(s.app, App::MissingTracks);
+                assert_eq!(s.app, ServeApp::MissingTracks);
                 assert_eq!(s.top, 3);
                 assert!(!s.compare_full);
             }
@@ -684,7 +672,7 @@ mod tests {
         .unwrap()
         {
             Command::Stream(s) => {
-                assert_eq!(s.app, App::ModelErrors);
+                assert_eq!(s.app, ServeApp::ModelErrors);
                 assert_eq!(s.top, 5);
                 assert!(s.compare_full);
                 assert!(!s.trace);
@@ -704,7 +692,7 @@ mod tests {
         {
             Command::Serve(s) => {
                 assert_eq!(s.listen, "127.0.0.1:0");
-                assert_eq!(s.app, App::MissingTracks);
+                assert_eq!(s.app, ServeApp::MissingTracks);
                 assert_eq!(s.window, 8);
                 assert_eq!(s.max_frames, 100_000);
                 assert_eq!(s.max_sessions, 4096);
@@ -721,7 +709,7 @@ mod tests {
         .unwrap()
         {
             Command::Serve(s) => {
-                assert_eq!(s.app, App::ModelErrors);
+                assert_eq!(s.app, ServeApp::ModelErrors);
                 assert_eq!(s.window, 16);
                 assert_eq!(s.max_frames, 500);
                 assert_eq!(s.max_sessions, 2);
@@ -773,9 +761,17 @@ mod tests {
 
     #[test]
     fn app_roundtrip() {
-        for app in [App::MissingTracks, App::MissingObs, App::ModelErrors] {
-            assert_eq!(App::parse(app.name()).unwrap(), app);
+        for app in ServeApp::ALL {
+            assert_eq!(ServeApp::parse(app.name()), Some(app));
+            match parse(&argv(&format!("learn --data d --app {} --out l.json", app.name())))
+                .unwrap()
+            {
+                Command::Learn(l) => assert_eq!(l.app, app),
+                other => panic!("{other:?}"),
+            }
         }
-        assert!(App::parse("nope").is_err());
+        assert_eq!(ServeApp::parse("nope"), None);
+        let err = parse(&argv("rank --scene s --library l --app nope")).unwrap_err();
+        assert!(err.0.contains("unknown app 'nope'"), "{err}");
     }
 }

@@ -1,14 +1,15 @@
 //! Command implementations.
 
 use crate::args::{
-    App, ConvertArgs, FeedArgs, FuzzArgs, GenerateArgs, LearnArgs, RankArgs, RenderArgs, ServeArgs,
+    ConvertArgs, FeedArgs, FuzzArgs, GenerateArgs, LearnArgs, RankArgs, RenderArgs, ServeArgs,
     StreamArgs,
 };
 use crate::CliError;
 use fixy_core::prelude::*;
-use fixy_core::{FeatureSet, Learner};
+use fixy_core::Learner;
 use loa_data::SceneData;
-use loa_ingest::{CorpusSource, StreamingAssembler};
+use loa_ingest::{CorpusSource, IngestError, StreamingAssembler};
+use loa_serve::ServeApp;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -44,7 +45,7 @@ pub fn load_library_file(path: &std::path::Path) -> Result<LibraryFile, CliError
 }
 
 /// Load a library and reject it if it was fitted for a different app.
-fn load_library_for(path: &std::path::Path, app: App) -> Result<FeatureLibrary, CliError> {
+fn load_library_for(path: &std::path::Path, app: ServeApp) -> Result<FeatureLibrary, CliError> {
     let file = load_library_file(path)?;
     if file.app != app.name() {
         return Err(CliError::Invalid(format!(
@@ -54,14 +55,6 @@ fn load_library_for(path: &std::path::Path, app: App) -> Result<FeatureLibrary, 
         )));
     }
     Ok(file.library)
-}
-
-fn feature_set_for(app: App) -> FeatureSet {
-    match app {
-        App::MissingTracks => MissingTrackFinder::default().feature_set(),
-        App::MissingObs => MissingObsFinder::default().feature_set(),
-        App::ModelErrors => ModelErrorFinder::default().feature_set(),
-    }
 }
 
 /// `fixy generate`: write `scenes` JSON scene files into `out`.
@@ -107,7 +100,7 @@ pub fn learn(args: LearnArgs) -> Result<String, CliError> {
     // Learning needs every training scene at once (distribution fitting
     // is a whole-corpus operation), so the shared corpus walk buffers.
     let scenes = CorpusSource::open(&args.data)?.load_all()?;
-    let features = feature_set_for(args.app);
+    let features = args.app.feature_set();
     let library = Learner::new().fit(&features, &scenes)?;
     match args.out_format {
         crate::args::LibFormat::Json => {
@@ -166,56 +159,61 @@ pub fn fuzz(args: FuzzArgs) -> Result<String, CliError> {
     }
 }
 
-/// One scene's rendered slice of a batch worklist: everything the final
-/// printer needs, extracted inside the streaming worker so the scene
-/// itself (raw frames, assembled structure) is dropped before the next
-/// one loads.
+/// One scene's rendered rows, extracted inside the streaming worker so
+/// the scene itself (raw frames, assembled structure) is dropped before
+/// the next one loads.
 struct SceneChunk {
     id: String,
     index: usize,
     body: String,
     candidates: usize,
+    /// Appended to a single scene's total line.
+    note: String,
 }
 
-/// Order chunks by the batch engine's deterministic merge key (scene id,
-/// then input index) and stitch the worklist together.
-fn render_chunks(header: &str, mut chunks: Vec<SceneChunk>, n_scenes: usize) -> String {
-    chunks.sort_by(|a, b| a.id.cmp(&b.id).then(a.index.cmp(&b.index)));
-    let mut out = String::new();
-    let _ = writeln!(out, "{header}");
-    let mut total = 0usize;
-    for chunk in &chunks {
-        total += chunk.candidates;
-        out.push_str(&chunk.body);
+/// Whether a track candidate matches its scene's injected-error record.
+type HitCheck = fn(&SceneData, &Scene, TrackIdx) -> bool;
+
+/// How `fixy rank` prints candidate rows.
+struct RowFormat {
+    /// Lead every row with the scene id (directory mode).
+    scene_col: bool,
+    top: usize,
+    /// Fills the `hit` column when grading.
+    grade: Option<HitCheck>,
+}
+
+impl RowFormat {
+    fn scene_column(&self, body: &mut String, id: &str) {
+        if self.scene_col {
+            let _ = write!(body, "{id:<30} ");
+        }
     }
-    let _ = writeln!(out, "{total} candidate(s) across {n_scenes} scene(s)");
-    out
 }
 
-/// Format one scene's track-level candidates (shared by the
-/// missing-tracks and model-errors batch modes).
-fn track_chunk(r: RankedScene<TrackCandidate>, app: App, top: usize, grade: bool) -> SceneChunk {
+/// The `--grade` check for an app's candidates. Missing-obs bundles and
+/// label-audit tracks have none, so their rows stay ungraded.
+fn hit_check(app: ServeApp) -> Option<HitCheck> {
+    match app {
+        ServeApp::MissingTracks => Some(loa_eval::resolve::is_missing_track_hit),
+        ServeApp::ModelErrors => Some(loa_eval::resolve::is_model_error_hit),
+        ServeApp::MissingObs | ServeApp::LabelAudit => None,
+    }
+}
+
+/// Format one scene's track-level candidates.
+fn track_chunk(r: RankedScene<TrackCandidate>, fmt: &RowFormat) -> SceneChunk {
     let mut body = String::new();
-    for (i, c) in r.candidates.iter().take(top).enumerate() {
-        let grade = if grade {
-            let hit = match app {
-                App::ModelErrors => {
-                    loa_eval::resolve::is_model_error_hit(&r.data, &r.scene, c.track)
-                }
-                _ => loa_eval::resolve::is_missing_track_hit(&r.data, &r.scene, c.track),
-            };
-            if hit {
-                "YES"
-            } else {
-                "no"
-            }
-        } else {
-            ""
+    for (i, c) in r.candidates.iter().take(fmt.top).enumerate() {
+        let hit = match fmt.grade {
+            Some(check) if check(&r.data, &r.scene, c.track) => "YES",
+            Some(_) => "no",
+            None => "",
         };
+        fmt.scene_column(&mut body, &r.id);
         let _ = writeln!(
             body,
-            "{:<30} {:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-            r.id,
+            "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
             i + 1,
             c.class.to_string(),
             c.score,
@@ -223,7 +221,7 @@ fn track_chunk(r: RankedScene<TrackCandidate>, app: App, top: usize, grade: bool
             c.mean_confidence
                 .map(|x| format!("{x:.2}"))
                 .unwrap_or_else(|| "-".into()),
-            grade
+            hit
         );
     }
     SceneChunk {
@@ -231,18 +229,19 @@ fn track_chunk(r: RankedScene<TrackCandidate>, app: App, top: usize, grade: bool
         index: r.index,
         body,
         candidates: r.candidates.len(),
+        note: String::new(),
     }
 }
 
-/// Format one scene's bundle-level candidates (missing-obs batch mode).
-fn bundle_chunk(r: RankedScene<BundleCandidate>, top: usize) -> SceneChunk {
+/// Format one scene's bundle-level candidates (missing-obs).
+fn bundle_chunk(r: RankedScene<BundleCandidate>, fmt: &RowFormat) -> SceneChunk {
     let mut body = String::new();
-    for (i, c) in r.candidates.iter().take(top).enumerate() {
+    for (i, c) in r.candidates.iter().take(fmt.top).enumerate() {
         let bundle = r.scene.bundle(c.bundle);
+        fmt.scene_column(&mut body, &r.id);
         let _ = writeln!(
             body,
-            "{:<30} {:<5} {:<6} {:<12} {:.3}",
-            r.id,
+            "{:<5} {:<6} {:<12} {:.3}",
             i + 1,
             bundle.frame.0,
             c.class.to_string(),
@@ -254,162 +253,102 @@ fn bundle_chunk(r: RankedScene<BundleCandidate>, top: usize) -> SceneChunk {
         index: r.index,
         body,
         candidates: r.candidates.len(),
+        note: String::new(),
     }
 }
 
-/// `fixy rank` in batch mode: stream every scene in a directory (`.json`
-/// or `.fscb`) through the bounded scene pipeline and print one merged
-/// worklist (stable by scene id, then per-scene rank). At most
-/// O(workers) scenes are in memory at any moment — the worklist is
-/// byte-identical to the old buffered path (locked by `tests/ingest.rs`).
-fn rank_batch(args: &RankArgs, library: &FeatureLibrary) -> Result<String, CliError> {
-    let source = CorpusSource::open(&args.scene)?;
-    let n_scenes = source.len();
-    // Workers pull paths (cheap tokens) and decode scenes themselves, so
-    // load cost parallelizes with ranking.
-    let paths = source.into_paths();
-    let load = |p: std::path::PathBuf| loa_ingest::load_scene_auto(&p);
+/// Rank every scene `sources` loads through the app's scene pipeline,
+/// formatting rows inside the workers. Returns the row header (without
+/// the scene column) and one chunk per scene, in input order.
+fn rank_chunks<S: Send>(
+    app: ServeApp,
+    library: &FeatureLibrary,
+    sources: Vec<S>,
+    load: impl Fn(S) -> Result<SceneData, IngestError> + Sync,
+    fmt: &RowFormat,
+) -> Result<(String, Vec<SceneChunk>), CliError> {
     let track_header = format!(
-        "scene                          rank  class        score    #obs  conf   {}",
-        if args.grade { "hit" } else { "" }
+        "rank  class        score    #obs  conf   {}",
+        if fmt.grade.is_some() { "hit" } else { "" }
     );
-
-    let (header, chunks) = match args.app {
-        App::MissingTracks => {
-            let chunks = ScenePipeline::new(MissingTrackFinder::default())
-                .process_stream(library, paths, load, |r| {
-                    track_chunk(r, args.app, args.top, args.grade)
-                })
-                .map_err(CliError::from)?;
-            (track_header, chunks)
-        }
+    let track = |r| track_chunk(r, fmt);
+    let (header, chunks) = match app {
+        ServeApp::MissingTracks => (
+            track_header,
+            ScenePipeline::new(MissingTrackFinder::default())
+                .process_stream(library, sources, load, track),
+        ),
         // The Section 8.4 protocol (assertion pre-exclusion) is shared
         // with the evaluation harness via loa_baselines.
-        App::ModelErrors => {
-            let chunks = ScenePipeline::new(loa_baselines::MaExcludedModelErrors::default())
-                .process_stream(library, paths, load, |r| {
-                    track_chunk(r, args.app, args.top, args.grade)
-                })
-                .map_err(CliError::from)?;
+        ServeApp::ModelErrors => {
+            let ranker = loa_baselines::MaExcludedModelErrors::default();
+            let chunks =
+                ScenePipeline::new(ranker.clone()).process_stream(library, sources, load, |r| {
+                    let excluded = (!fmt.scene_col).then(|| ranker.excluded(&r.scene).len());
+                    let mut chunk = track_chunk(r, fmt);
+                    if let Some(n) = excluded {
+                        chunk.note = format!(" ({n} observations excluded by ad-hoc assertions)");
+                    }
+                    chunk
+                });
             (track_header, chunks)
         }
-        // Bundle-level candidates take a different worklist shape.
-        App::MissingObs => {
-            let chunks = ScenePipeline::new(MissingObsFinder::default())
-                .process_stream(library, paths, load, |r| bundle_chunk(r, args.top))
-                .map_err(CliError::from)?;
-            (
-                "scene                          rank  frame  class        score".to_string(),
-                chunks,
-            )
-        }
+        ServeApp::LabelAudit => (
+            track_header,
+            ScenePipeline::new(LabelAuditFinder::default())
+                .process_stream(library, sources, load, track),
+        ),
+        // Bundle-level candidates take a different row shape.
+        ServeApp::MissingObs => (
+            "rank  frame  class        score".to_string(),
+            ScenePipeline::new(MissingObsFinder::default()).process_stream(
+                library,
+                sources,
+                load,
+                |r| bundle_chunk(r, fmt),
+            ),
+        ),
     };
-    Ok(render_chunks(&header, chunks, n_scenes))
+    Ok((header, chunks?))
 }
 
-/// `fixy rank`: rank one scene's candidates (or, given a directory, a
-/// whole batch via the scene pipeline) and print the worklist.
+/// `fixy rank`: rank one scene's candidates and print the worklist.
+/// Given a directory (`.json` or `.fscb` scenes), stream every scene
+/// through the bounded scene pipeline and print one merged worklist
+/// (stable by scene id, then per-scene rank) with a leading scene
+/// column; at most O(workers) scenes are in memory at any moment.
 pub fn rank(args: RankArgs) -> Result<String, CliError> {
     let library = load_library_for(&args.library, args.app)?;
-    if args.scene.is_dir() {
-        return rank_batch(&args, &library);
-    }
-    let data = loa_ingest::load_scene_auto(&args.scene)?;
-
+    let batch = args.scene.is_dir();
+    let fmt = RowFormat {
+        scene_col: batch,
+        top: args.top,
+        grade: if args.grade { hit_check(args.app) } else { None },
+    };
     let mut out = String::new();
-    match args.app {
-        App::MissingTracks => {
-            let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let finder = MissingTrackFinder::default();
-            let ranked = finder.rank(&scene, &library)?;
-            let _ = writeln!(
-                out,
-                "rank  class        score    #obs  conf   {}",
-                if args.grade { "hit" } else { "" }
-            );
-            for (i, c) in ranked.iter().take(args.top).enumerate() {
-                let grade = if args.grade {
-                    if loa_eval::resolve::is_missing_track_hit(&data, &scene, c.track) {
-                        "YES"
-                    } else {
-                        "no"
-                    }
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-                    i + 1,
-                    c.class.to_string(),
-                    c.score,
-                    c.n_obs,
-                    c.mean_confidence
-                        .map(|x| format!("{x:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                    grade
-                );
-            }
-            let _ = writeln!(out, "{} candidate(s) total", ranked.len());
+    if batch {
+        // Workers pull paths (cheap tokens) and decode scenes themselves,
+        // so load cost parallelizes with ranking.
+        let paths = CorpusSource::open(&args.scene)?.into_paths();
+        let n_scenes = paths.len();
+        let load = |p: std::path::PathBuf| loa_ingest::load_scene_auto(&p);
+        let (header, mut chunks) = rank_chunks(args.app, &library, paths, load, &fmt)?;
+        // The batch engine's deterministic merge key: scene id, then
+        // input index.
+        chunks.sort_by(|a, b| a.id.cmp(&b.id).then(a.index.cmp(&b.index)));
+        let _ = writeln!(out, "{:<30} {header}", "scene");
+        for chunk in &chunks {
+            out.push_str(&chunk.body);
         }
-        App::MissingObs => {
-            let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let finder = MissingObsFinder::default();
-            let ranked = finder.rank(&scene, &library)?;
-            let _ = writeln!(out, "rank  frame  class        score");
-            for (i, c) in ranked.iter().take(args.top).enumerate() {
-                let bundle = scene.bundle(c.bundle);
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<6} {:<12} {:.3}",
-                    i + 1,
-                    bundle.frame.0,
-                    c.class.to_string(),
-                    c.score
-                );
-            }
-            let _ = writeln!(out, "{} candidate(s) total", ranked.len());
-        }
-        App::ModelErrors => {
-            // Same shared Section 8.4 protocol as batch mode.
-            let ranker = loa_baselines::MaExcludedModelErrors::default();
-            let scene = Scene::assemble(&data, &ranker.assembly());
-            let excluded = ranker.excluded(&scene);
-            let ranked = ranker.finder.rank(&scene, &library, &excluded)?;
-            let _ = writeln!(
-                out,
-                "rank  class        score    #obs  conf   {}",
-                if args.grade { "hit" } else { "" }
-            );
-            for (i, c) in ranked.iter().take(args.top).enumerate() {
-                let grade = if args.grade {
-                    if loa_eval::resolve::is_model_error_hit(&data, &scene, c.track) {
-                        "YES"
-                    } else {
-                        "no"
-                    }
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-                    i + 1,
-                    c.class.to_string(),
-                    c.score,
-                    c.n_obs,
-                    c.mean_confidence
-                        .map(|x| format!("{x:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                    grade
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{} candidate(s) total ({} observations excluded by ad-hoc assertions)",
-                ranked.len(),
-                excluded.len()
-            );
+        let total: usize = chunks.iter().map(|c| c.candidates).sum();
+        let _ = writeln!(out, "{total} candidate(s) across {n_scenes} scene(s)");
+    } else {
+        let data = loa_ingest::load_scene_auto(&args.scene)?;
+        let (header, chunks) = rank_chunks(args.app, &library, vec![data], Ok, &fmt)?;
+        let _ = writeln!(out, "{header}");
+        for chunk in &chunks {
+            out.push_str(&chunk.body);
+            let _ = writeln!(out, "{} candidate(s) total{}", chunk.candidates, chunk.note);
         }
     }
     Ok(out)
@@ -535,82 +474,13 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     if args.trace {
         loa_obs::enable_all();
     }
-    let library = load_library_for(&args.library, args.app)?;
+    let app = args.app;
+    let library = load_library_for(&args.library, app)?;
     let library = &library;
-
-    // Per-app snapshot ranking: a (label, score) worklist so the replay
-    // loop stays app-agnostic.
-    let me_ranker = loa_baselines::MaExcludedModelErrors::default();
-    let assembly = match args.app {
-        App::MissingTracks | App::MissingObs => AssemblyConfig::default(),
-        App::ModelErrors => me_ranker.assembly(),
-    };
-    let features = match args.app {
-        App::MissingTracks => MissingTrackFinder::default().feature_set(),
-        App::MissingObs => MissingObsFinder::default().feature_set(),
-        App::ModelErrors => me_ranker.finder.feature_set(),
-    };
-
-    // The full (from-scratch) path — the `--compare-full` reference.
-    let rank_snapshot = |scene: &Scene| -> Result<Vec<(String, f64)>, CliError> {
-        Ok(match args.app {
-            App::MissingTracks => MissingTrackFinder::default()
-                .rank(scene, library)?
-                .into_iter()
-                .map(|c| (c.class.to_string(), c.score))
-                .collect(),
-            App::MissingObs => MissingObsFinder::default()
-                .rank(scene, library)?
-                .into_iter()
-                .map(|c| {
-                    let frame = scene.bundle(c.bundle).frame.0;
-                    (format!("frame {frame} {}", c.class), c.score)
-                })
-                .collect(),
-            App::ModelErrors => {
-                let excluded = me_ranker.excluded(scene);
-                me_ranker
-                    .finder
-                    .rank(scene, library, &excluded)?
-                    .into_iter()
-                    .map(|c| (c.class.to_string(), c.score))
-                    .collect()
-            }
-        })
-    };
-
-    // The incremental path: same worklist, served from cached component
-    // scores.
-    let rank_incremental =
-        |scene: &Scene, scorer: &mut IncrementalScorer<'_>| -> Vec<(String, f64)> {
-            match args.app {
-                App::MissingTracks => MissingTrackFinder::default()
-                    .rank_incremental(scene, scorer)
-                    .into_iter()
-                    .map(|c| (c.class.to_string(), c.score))
-                    .collect(),
-                App::MissingObs => MissingObsFinder::default()
-                    .rank_incremental(scene, scorer)
-                    .into_iter()
-                    .map(|c| {
-                        let frame = scene.bundle(c.bundle).frame.0;
-                        (format!("frame {frame} {}", c.class), c.score)
-                    })
-                    .collect(),
-                App::ModelErrors => {
-                    let excluded = me_ranker.excluded(scene);
-                    me_ranker
-                        .finder
-                        .rank_incremental(scene, scorer, &excluded)
-                        .into_iter()
-                        .map(|c| (c.class.to_string(), c.score))
-                        .collect()
-                }
-            }
-        };
+    let features = app.feature_set();
 
     let mut out = String::new();
-    let mut assembler = StreamingAssembler::new(assembly);
+    let mut assembler = StreamingAssembler::new(app.assembly());
     let mut scorer = IncrementalScorer::new(&features, library)?;
     let mut push_us: Vec<f64> = Vec::new();
     let mut score_us: Vec<f64> = Vec::new();
@@ -637,14 +507,10 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         assembler.push_frame(frame)?;
         let push = t0.elapsed().as_secs_f64() * 1e6;
         let t1 = std::time::Instant::now();
-        assembler.update_snapshot(scene)?;
-        scorer.rescore_delta(scene, assembler.last_delta().expect("delta after push"));
-        let ranked = {
-            // Core instruments scoring; the final rank happens here in
-            // the CLI closure, so the Rank span lives here too.
-            let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
-            rank_incremental(scene, scorer)
-        };
+        // The incremental path: the worklist served from cached component
+        // scores.
+        assembler.update_rescored(scene, scorer)?;
+        let ranked = app.worklist(scene, scorer);
         let score = t1.elapsed().as_secs_f64() * 1e6;
 
         if args.trace {
@@ -658,10 +524,18 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         }
 
         if args.compare_full {
+            // The full (from-scratch) reference: snapshot, compile,
+            // score and rank the same worklist.
             let t2 = std::time::Instant::now();
             let snapshot = assembler.snapshot();
-            let full_ranked = rank_snapshot(&snapshot)?;
+            let full_ranked =
+                app.worklist(&snapshot, &mut ScoreEngine::new(&snapshot, &features, library)?);
             let full = t2.elapsed().as_secs_f64() * 1e6;
+            if args.trace {
+                // Keep the reference path's spans out of the next frame's
+                // stage row.
+                let _ = loa_obs::drain_thread_spans();
+            }
             let diverged = full_ranked.len() != ranked.len()
                 || full_ranked
                     .iter()
@@ -791,12 +665,8 @@ pub fn serve(args: ServeArgs) -> Result<String, CliError> {
     // quantiles, and `STATS` replies are only useful with live numbers.
     loa_obs::enable_metrics();
     let t0 = std::time::Instant::now();
-    let library = load_library_for(&args.library, args.app)?;
-    let app = match args.app {
-        App::MissingTracks => loa_serve::ServeApp::MissingTracks,
-        App::MissingObs => loa_serve::ServeApp::MissingObs,
-        App::ModelErrors => loa_serve::ServeApp::ModelErrors,
-    };
+    let app = args.app;
+    let library = load_library_for(&args.library, app)?;
     let ctx = loa_serve::ServeContext::new(app, library)?;
     // Cold start: library file open through scoring-ready context. The
     // .flcb path skips fit-state reconstruction, so this is the number
@@ -1438,6 +1308,67 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("fitted for app"), "{err}");
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_app_learns_streams_and_ranks() {
+        let dir = tmp_dir("every_app");
+        let data_dir = dir.join("data");
+        run(parse(&argv(&format!(
+            "generate --profile lyft --scenes 2 --seed 13 --duration 3 --out {}",
+            data_dir.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let scene = {
+            let mut paths: Vec<_> = std::fs::read_dir(&data_dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            paths.sort();
+            paths.remove(0)
+        };
+        for app in loa_serve::ServeApp::ALL {
+            let name = app.name();
+            let lib = dir.join(format!("{name}.json"));
+            run(parse(&argv(&format!(
+                "learn --data {} --app {name} --out {}",
+                data_dir.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            // The incremental worklist equals the full re-rank on every
+            // frame, whichever app the descriptor names.
+            let out = run(parse(&argv(&format!(
+                "stream --scene {} --library {} --app {name} --top 3 --compare-full",
+                scene.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(out.contains("worklists identical on every frame"), "{name}: {out}");
+            // Single-scene and directory rank run for every app too.
+            let single = run(parse(&argv(&format!(
+                "rank --scene {} --library {} --app {name} --grade",
+                scene.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(single.starts_with("rank "), "{name}: {single}");
+            assert!(single.contains("candidate(s) total"), "{name}: {single}");
+            let batch = run(parse(&argv(&format!(
+                "rank --scene {} --library {} --app {name} --grade",
+                data_dir.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(batch.starts_with("scene "), "{name}: {batch}");
+            assert!(batch.contains("across 2 scene(s)"), "{name}: {batch}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

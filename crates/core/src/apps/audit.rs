@@ -26,7 +26,6 @@ use crate::aof::Aof;
 use crate::error::FixyError;
 use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{CountFeature, VolumeFeature, VolumeRatioFeature};
-use crate::incremental::IncrementalScorer;
 use crate::learner::FeatureLibrary;
 use crate::rank::{
     sort_bundle_candidates, sort_track_candidates, track_candidate, BundleCandidate, TrackCandidate,
@@ -89,16 +88,6 @@ impl LabelAuditFinder {
         sort_track_candidates(&mut candidates);
         candidates
     }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.score_all_tracks(scene))
-    }
 }
 
 /// Ranks observation bundles by member inconsistency. Assemble scenes
@@ -154,16 +143,6 @@ impl BundleAuditFinder {
         }
         sort_bundle_candidates(&mut candidates);
         candidates
-    }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<BundleCandidate> {
-        self.rank_scored(scene, scorer.score_all_bundles(scene))
     }
 }
 

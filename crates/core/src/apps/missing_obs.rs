@@ -9,7 +9,6 @@
 use crate::error::FixyError;
 use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{DistanceFeature, ModelOnlyFeature, VolumeFeature};
-use crate::incremental::IncrementalScorer;
 use crate::learner::FeatureLibrary;
 use crate::rank::{sort_bundle_candidates, BundleCandidate};
 use crate::scene::{BundleIdx, Scene, TrackIdx};
@@ -94,16 +93,6 @@ impl MissingObsFinder {
         }
         sort_bundle_candidates(&mut candidates);
         candidates
-    }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<BundleCandidate> {
-        self.rank_scored(scene, scorer.score_all_bundles(scene))
     }
 }
 

@@ -15,7 +15,6 @@ use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{
     CountFeature, DistanceFeature, ModelOnlyFeature, VelocityFeature, VolumeFeature,
 };
-use crate::incremental::IncrementalScorer;
 use crate::learner::FeatureLibrary;
 use crate::rank::{sort_track_candidates, track_candidate, TrackCandidate};
 use crate::scene::{Scene, TrackIdx};
@@ -79,16 +78,6 @@ impl MissingTrackFinder {
         }
         sort_track_candidates(&mut candidates);
         candidates
-    }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.score_all_tracks(scene))
     }
 }
 

@@ -16,7 +16,6 @@ use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{
     CountFeature, TrackLengthFeature, VelocityFeature, VolumeFeature, YawRateFeature,
 };
-use crate::incremental::IncrementalScorer;
 use crate::learner::FeatureLibrary;
 use crate::rank::{sort_track_candidates, track_candidate, TrackCandidate};
 use crate::scene::{ObsIdx, Scene, TrackIdx};
@@ -110,17 +109,6 @@ impl ModelErrorFinder {
         }
         sort_track_candidates(&mut candidates);
         candidates
-    }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-        excluded: &BTreeSet<ObsIdx>,
-    ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.score_all_tracks(scene), excluded)
     }
 }
 

@@ -58,6 +58,7 @@ use crate::error::FixyError;
 use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
 use crate::learner::{FeatureLibrary, FittedDistribution, PreparedDistribution};
 use crate::scene::{BundleIdx, FrameDelta, ObsIdx, Scene, TrackIdx};
+use crate::score::ScoreSweep;
 use loa_graph::{normalized_log_score, ComponentScore, DeltaComponentIndex, VarId};
 use std::collections::HashMap;
 
@@ -82,8 +83,8 @@ struct FactorRec {
 /// assembler.begin(dt);            // and scorer.begin() when reusing
 /// for frame in stream {
 ///     assembler.push_frame(&frame)?;
-///     assembler.update_snapshot(&mut scene)?;      // O(Δ) scene growth
-///     scorer.rescore_delta(&scene, assembler.last_delta().unwrap());
+///     // O(Δ) scene growth, then rescore_delta(last_delta):
+///     assembler.update_rescored(&mut scene, &mut scorer)?;
 ///     let ranked = finder.rank_scored(&scene, scorer.score_all_tracks(&scene));
 /// }
 /// ```
@@ -525,6 +526,16 @@ impl<'a> IncrementalScorer<'a> {
             metrics.cache_misses.add(out.len() as u64 - hits);
         }
         out
+    }
+}
+
+impl ScoreSweep for IncrementalScorer<'_> {
+    fn track_scores(&mut self, scene: &Scene) -> Vec<(TrackIdx, ComponentScore)> {
+        self.score_all_tracks(scene)
+    }
+
+    fn bundle_scores(&mut self, scene: &Scene) -> Vec<(BundleIdx, ComponentScore)> {
+        self.score_all_bundles(scene)
     }
 }
 

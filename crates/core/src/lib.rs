@@ -76,6 +76,7 @@ pub use scene::{
     AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,
     Track, TrackIdx,
 };
+pub use score::ScoreSweep;
 
 /// Convenience prelude for downstream users.
 pub mod prelude {
@@ -94,5 +95,5 @@ pub mod prelude {
         AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,
         Track, TrackIdx,
     };
-    pub use crate::score::{ScoreEngine, ScoreOptions};
+    pub use crate::score::{ScoreEngine, ScoreOptions, ScoreSweep};
 }

@@ -174,21 +174,13 @@ pub struct BatchCandidate<C = TrackCandidate> {
 #[derive(Debug, Clone)]
 pub struct ScenePipeline<R> {
     ranker: R,
-    assembly: AssemblyConfig,
     parallel: bool,
 }
 
 impl<R: SceneRanker> ScenePipeline<R> {
     /// A parallel pipeline using the ranker's preferred assembly.
     pub fn new(ranker: R) -> Self {
-        let assembly = ranker.assembly();
-        ScenePipeline { ranker, assembly, parallel: true }
-    }
-
-    /// Override the assembly configuration.
-    pub fn with_assembly(mut self, assembly: AssemblyConfig) -> Self {
-        self.assembly = assembly;
-        self
+        ScenePipeline { ranker, parallel: true }
     }
 
     /// Disable the fan-out: process scenes one by one on the calling
@@ -207,7 +199,7 @@ impl<R: SceneRanker> ScenePipeline<R> {
     ) -> Result<RankedScene<R::Candidate>, FixyError> {
         let scene = {
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Assemble);
-            assemble_reusing_engine(&data, &self.assembly)
+            assemble_reusing_engine(&data, &self.ranker.assembly())
         };
         let candidates = {
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);

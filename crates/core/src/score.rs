@@ -21,6 +21,19 @@ pub struct ScoreOptions {
     pub scope: ScopeMode,
 }
 
+/// Whole-scene score sweeps — what an application ranks from.
+///
+/// Implemented by the batch [`ScoreEngine`] (a compiled scene) and the
+/// streaming [`IncrementalScorer`](crate::IncrementalScorer) (cached
+/// components), which score bit-identically; one rank function over
+/// this trait serves both paths.
+pub trait ScoreSweep {
+    /// Every track's score, in track order.
+    fn track_scores(&mut self, scene: &Scene) -> Vec<(TrackIdx, ComponentScore)>;
+    /// Every bundle's score, in bundle order.
+    fn bundle_scores(&mut self, scene: &Scene) -> Vec<(BundleIdx, ComponentScore)>;
+}
+
 /// A scene compiled and ready to score.
 pub struct ScoreEngine<'a> {
     scene: &'a Scene,
@@ -148,6 +161,19 @@ impl<'a> ScoreEngine<'a> {
             .iter()
             .map(|b| (b.idx, self.score_bundle(b.idx)))
             .collect()
+    }
+}
+
+/// `scene` must be the scene the engine was compiled from.
+impl ScoreSweep for ScoreEngine<'_> {
+    fn track_scores(&mut self, scene: &Scene) -> Vec<(TrackIdx, ComponentScore)> {
+        debug_assert!(std::ptr::eq(scene, self.scene), "sweep over a different scene");
+        self.score_all_tracks()
+    }
+
+    fn bundle_scores(&mut self, scene: &Scene) -> Vec<(BundleIdx, ComponentScore)> {
+        debug_assert!(std::ptr::eq(scene, self.scene), "sweep over a different scene");
+        self.score_all_bundles()
     }
 }
 

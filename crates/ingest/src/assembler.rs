@@ -16,8 +16,7 @@
 //! batch assembly of the truncated scene.
 
 use crate::error::IngestError;
-use crate::reorder::ReorderBuffer;
-use fixy_core::{AssemblyConfig, AssemblyEngine, FrameDelta, Scene};
+use fixy_core::{AssemblyConfig, AssemblyEngine, FrameDelta, IncrementalScorer, Scene};
 use loa_data::{Frame, FrameId, SceneData};
 
 /// The index the next pushed frame must carry. Falls out of the u32
@@ -87,8 +86,9 @@ impl StreamingAssembler {
     /// Frames must arrive in strictly increasing index order with no
     /// gaps — a lower-or-equal index is a [`IngestError::DuplicateFrame`],
     /// a higher one an [`IngestError::OutOfOrderFrame`]. (For transports
-    /// that cannot guarantee this, see
-    /// [`push_frame_reordered`](Self::push_frame_reordered).)
+    /// that cannot guarantee this, put a
+    /// [`ReorderBuffer`](crate::ReorderBuffer) in front and push every
+    /// frame its `accept_into` releases.)
     pub fn push_frame(&mut self, frame: &Frame) -> Result<(), IngestError> {
         if !self.streaming {
             return Err(IngestError::NotStreaming);
@@ -105,37 +105,6 @@ impl StreamingAssembler {
             metrics.ingest_frames_pushed.inc();
         }
         Ok(())
-    }
-
-    /// Ingest a frame from an unordered transport through a
-    /// [`ReorderBuffer`]: late and duplicate frames inside the buffer's
-    /// window are absorbed, and every frame the buffer releases is
-    /// pushed in index order. Returns how many frames were ingested by
-    /// this call (0 when the frame was buffered or dropped as a
-    /// duplicate).
-    ///
-    /// The buffer must be dedicated to this stream and reset (via
-    /// [`ReorderBuffer::begin`]) alongside [`begin`](Self::begin).
-    ///
-    /// Note: callers that need the per-frame [`last_delta`]
-    /// (Self::last_delta) after *each* released frame — the incremental
-    /// scoring path — should drive [`ReorderBuffer::accept_into`] and
-    /// [`push_frame`](Self::push_frame) themselves; this convenience
-    /// only reports the delta of the last released frame.
-    pub fn push_frame_reordered(
-        &mut self,
-        buf: &mut ReorderBuffer,
-        frame: Frame,
-    ) -> Result<usize, IngestError> {
-        if !self.streaming {
-            return Err(IngestError::NotStreaming);
-        }
-        let mut released = Vec::new();
-        buf.accept_into(frame, &mut released)?;
-        for frame in &released {
-            self.push_frame(frame)?;
-        }
-        Ok(released.len())
     }
 
     /// The partial scene over every frame pushed so far — what a live
@@ -170,6 +139,23 @@ impl StreamingAssembler {
             metrics.snapshot_tracks.record(scene.n_tracks() as u64);
         }
         Ok(())
+    }
+
+    /// The live-scoring step after each [`push_frame`](Self::push_frame):
+    /// grow `scene` over the pushed frame (as
+    /// [`update_snapshot`](Self::update_snapshot)), then re-score exactly
+    /// what that frame's [`last_delta`](Self::last_delta) invalidated.
+    /// `scorer` must have seen every earlier frame of this stream
+    /// through this method. Returns the number of dirty components
+    /// re-scored.
+    pub fn update_rescored(
+        &self,
+        scene: &mut Scene,
+        scorer: &mut IncrementalScorer<'_>,
+    ) -> Result<usize, IngestError> {
+        self.update_snapshot(scene)?;
+        let delta = self.last_delta().ok_or(IngestError::NoFrameDelta)?;
+        Ok(scorer.rescore_delta(scene, delta))
     }
 
     /// The partial scene up to and including `frame`, which must already
@@ -210,6 +196,7 @@ impl StreamingAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReorderBuffer;
     use loa_data::{generate_scene, DatasetProfile};
 
     fn tiny_scene(seed: u64) -> SceneData {
@@ -302,6 +289,28 @@ mod tests {
     }
 
     #[test]
+    fn rescore_without_a_pushed_frame_is_typed_error() {
+        let features = fixy_core::FeatureSet::new(vec![]);
+        let library = fixy_core::FeatureLibrary::default();
+        let mut scorer = IncrementalScorer::new(&features, &library).unwrap();
+        let data = tiny_scene(10);
+        let mut asm = StreamingAssembler::new(AssemblyConfig::default());
+        let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+        assert!(matches!(
+            asm.update_rescored(&mut scene, &mut scorer),
+            Err(IngestError::NotStreaming)
+        ));
+        asm.begin(data.frame_dt);
+        assert!(matches!(
+            asm.update_rescored(&mut scene, &mut scorer),
+            Err(IngestError::NoFrameDelta)
+        ));
+        asm.push_frame(&data.frames[0]).unwrap();
+        asm.update_rescored(&mut scene, &mut scorer).unwrap();
+        assert_eq!(scene, asm.snapshot());
+    }
+
+    #[test]
     fn frame_index_overflow_is_typed_not_wrapped() {
         // `u32::MAX as usize + 1` pushes exhausts the index space; the
         // old `as u32` cast wrapped to 0 and misread every later frame
@@ -324,12 +333,21 @@ mod tests {
         buf.begin();
         let n = data.frames.len();
         assert!(n >= 3, "scene too short to shuffle");
+        // Accept one delivery and push every frame the buffer releases.
+        let mut deliver = |frame: &Frame| {
+            let mut released = Vec::new();
+            buf.accept_into(frame.clone(), &mut released).unwrap();
+            for frame in &released {
+                asm.push_frame(frame).unwrap();
+            }
+            released.len()
+        };
         // Deliver 1 before 0, duplicate 0, then the rest in order.
-        assert_eq!(asm.push_frame_reordered(&mut buf, data.frames[1].clone()).unwrap(), 0);
-        assert_eq!(asm.push_frame_reordered(&mut buf, data.frames[0].clone()).unwrap(), 2);
-        assert_eq!(asm.push_frame_reordered(&mut buf, data.frames[0].clone()).unwrap(), 0);
+        assert_eq!(deliver(&data.frames[1]), 0);
+        assert_eq!(deliver(&data.frames[0]), 2);
+        assert_eq!(deliver(&data.frames[0]), 0);
         for frame in &data.frames[2..] {
-            assert_eq!(asm.push_frame_reordered(&mut buf, frame.clone()).unwrap(), 1);
+            assert_eq!(deliver(frame), 1);
         }
         assert_eq!(buf.duplicates_dropped(), 1);
         assert_eq!(buf.reordered_released(), 1);

@@ -32,6 +32,9 @@ pub enum IngestError {
     FrameOutOfRange { frame: u32, pushed: usize },
     /// `push_frame`/`finalize` outside a `begin` … `finalize` window.
     NotStreaming,
+    /// A rescore was asked for before any frame of the scene was pushed:
+    /// there is no frame delta to apply.
+    NoFrameDelta,
     /// A corpus directory contains no `.json` or `.fscb` scenes.
     EmptyCorpus(PathBuf),
 }
@@ -67,6 +70,9 @@ impl std::fmt::Display for IngestError {
             }
             IngestError::NotStreaming => {
                 write!(f, "no scene in progress: call begin() first")
+            }
+            IngestError::NoFrameDelta => {
+                write!(f, "no frame pushed since begin(): nothing to rescore")
             }
             IngestError::EmptyCorpus(dir) => {
                 write!(f, "no .json or .fscb scenes in {}", dir.display())

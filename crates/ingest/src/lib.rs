@@ -18,6 +18,8 @@
 //!   the O(Δ) incremental re-scoring path
 //!   ([`fixy_core::IncrementalScorer`]; equivalence proptests in
 //!   `tests/incremental.rs`).
+//!   [`update_rescored`](StreamingAssembler::update_rescored) runs both
+//!   steps in the order the scorer needs, once per pushed frame.
 //! * **Binary scene format** — [`fscb`]: a compact, frame-framed
 //!   on-disk layout ([`FrameWriter`]/[`FrameReader`]) decodable
 //!   frame-by-frame straight into the assembler, with exact `f64`

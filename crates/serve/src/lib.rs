@@ -6,10 +6,15 @@
 //! records — not a one-shot CLI over files. This crate is that resident
 //! layer over the PR 5/6 streaming machinery:
 //!
-//! * **Sessions** — each live stream owns the incremental trio
+//! * **App descriptor** — [`ServeApp`]: the one definition of each
+//!   audit application (assembly preset, feature set, worklist) that
+//!   `fixy learn`, `rank`, `stream` and `serve` all share, so an app
+//!   means the same thing offline and live.
+//! * **Sessions** — each live stream owns the incremental pair
 //!   ([`loa_ingest::StreamingAssembler`] +
-//!   [`fixy_core::IncrementalScorer`] + per-app `rank_incremental`)
-//!   behind a bounded [`loa_ingest::ReorderBuffer`], so the per-frame
+//!   [`fixy_core::IncrementalScorer`], ranked by
+//!   [`ServeApp::worklist`]) behind a bounded
+//!   [`loa_ingest::ReorderBuffer`], so the per-frame
 //!   cost stays O(Δ) and transport jitter (late, early, duplicated
 //!   frames) inside the window is absorbed instead of fatal. A session's
 //!   worklist at watermark *n* is byte-identical to `fixy stream`'s
@@ -39,6 +44,7 @@
 //! the global registry as a Prometheus text endpoint for `fixy serve
 //! --metrics-addr`.
 
+pub mod app;
 pub mod client;
 pub mod error;
 pub mod metrics;
@@ -47,10 +53,11 @@ pub mod server;
 pub mod service;
 pub mod session;
 
+pub use app::ServeApp;
 pub use client::FeedClient;
 pub use error::ServeError;
 pub use metrics::serve_metrics;
 pub use protocol::{Request, Response, SessionStats, Worklist};
 pub use server::{serve, ServeSummary};
 pub use service::{AuditService, ServiceCfg};
-pub use session::{ServeApp, ServeContext, Session};
+pub use session::{ServeContext, Session};

@@ -5,8 +5,8 @@
 //! [`StreamingAssembler`], an [`IncrementalScorer`] bound to the shared
 //! app context, and a [`ReorderBuffer`] absorbing transport jitter in
 //! front of them. Each frame the buffer releases runs the full O(Δ)
-//! hot loop (`push_frame` → `update_snapshot` → `rescore_delta`), and
-//! the worklist is re-ranked from the cached component scores — so a
+//! hot loop (`push_frame`, then `update_rescored`), and the app's
+//! worklist is re-ranked from the cached component scores — so a
 //! session's worklist at watermark *n* is byte-identical to `fixy
 //! stream`'s after *n* in-order frames, no matter how the transport
 //! shuffled delivery inside the window.
@@ -16,84 +16,22 @@
 //! pool in [`AuditService`](crate::AuditService), and `begin()` resets
 //! reuse them for the next stream.
 
+use crate::app::ServeApp;
 use crate::error::ServeError;
 use crate::protocol::{SessionStats, Worklist};
-use fixy_core::apps::{LabelAuditFinder, MissingObsFinder, MissingTrackFinder};
-use fixy_core::{
-    AssemblyConfig, FeatureLibrary, FeatureSet, IncrementalScorer, Scene, SceneRanker,
-};
-use loa_baselines::MaExcludedModelErrors;
+use fixy_core::{FeatureLibrary, FeatureSet, IncrementalScorer, Scene};
 use loa_data::Frame;
 use loa_ingest::{ReorderBuffer, StreamingAssembler};
 
-/// The audit application a serving context runs — the three paper apps
-/// plus the label audit, covering all three assembly presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeApp {
-    /// Missing human tracks in model output (default assembly).
-    MissingTracks,
-    /// Missing per-frame observations in human tracks (default assembly).
-    MissingObs,
-    /// Model-error ranking with ad-hoc-assertion exclusion (model-only
-    /// assembly).
-    ModelErrors,
-    /// Implausibly-labeled human tracks (human-only assembly).
-    LabelAudit,
-}
-
-impl ServeApp {
-    /// CLI / library-file name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeApp::MissingTracks => "missing-tracks",
-            ServeApp::MissingObs => "missing-obs",
-            ServeApp::ModelErrors => "model-errors",
-            ServeApp::LabelAudit => "label-audit",
-        }
-    }
-
-    /// Parse a [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "missing-tracks" => Some(ServeApp::MissingTracks),
-            "missing-obs" => Some(ServeApp::MissingObs),
-            "model-errors" => Some(ServeApp::ModelErrors),
-            "label-audit" => Some(ServeApp::LabelAudit),
-            _ => None,
-        }
-    }
-
-    /// The assembly preset this app's scenes are built with.
-    pub fn assembly(self) -> AssemblyConfig {
-        match self {
-            ServeApp::MissingTracks | ServeApp::MissingObs => AssemblyConfig::default(),
-            ServeApp::ModelErrors => MaExcludedModelErrors::default().assembly(),
-            ServeApp::LabelAudit => AssemblyConfig::human_only(),
-        }
-    }
-
-    /// The app's feature set — what a serving library must be fitted for.
-    pub fn feature_set(self) -> FeatureSet {
-        match self {
-            ServeApp::MissingTracks => MissingTrackFinder::default().feature_set(),
-            ServeApp::MissingObs => MissingObsFinder::default().feature_set(),
-            ServeApp::ModelErrors => MaExcludedModelErrors::default().finder.feature_set(),
-            ServeApp::LabelAudit => LabelAuditFinder::default().feature_set(),
-        }
-    }
-}
-
 /// The shared, read-only serving state: app, feature set, fitted
-/// library, assembly preset. Every session (across every connection)
-/// borrows one context, so the library is resident exactly once no
-/// matter how many streams are live.
+/// library. Every session (across every connection) borrows one
+/// context, so the library is resident exactly once no matter how many
+/// streams are live.
 #[derive(Debug)]
 pub struct ServeContext {
     app: ServeApp,
     features: FeatureSet,
     library: FeatureLibrary,
-    assembly: AssemblyConfig,
-    me_ranker: MaExcludedModelErrors,
 }
 
 impl ServeContext {
@@ -103,13 +41,7 @@ impl ServeContext {
         let features = app.feature_set();
         // Validate once so sessions cannot fail halfway through opening.
         IncrementalScorer::new(&features, &library)?;
-        Ok(ServeContext {
-            app,
-            features,
-            library,
-            assembly: app.assembly(),
-            me_ranker: MaExcludedModelErrors::default(),
-        })
+        Ok(ServeContext { app, features, library })
     }
 
     pub fn app(&self) -> ServeApp {
@@ -120,45 +52,10 @@ impl ServeContext {
     /// window.
     pub fn new_engines(&self, window: u32) -> Engines<'_> {
         Engines {
-            assembler: StreamingAssembler::new(self.assembly),
+            assembler: StreamingAssembler::new(self.app.assembly()),
             scorer: IncrementalScorer::new(&self.features, &self.library)
                 .expect("validated at ServeContext::new"),
             reorder: ReorderBuffer::new(window),
-        }
-    }
-
-    /// The app's (label, score) worklist from the session's cached
-    /// component scores — the same labels `fixy stream` prints.
-    fn rank(&self, scene: &Scene, scorer: &mut IncrementalScorer<'_>) -> Vec<(String, f64)> {
-        let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
-        match self.app {
-            ServeApp::MissingTracks => MissingTrackFinder::default()
-                .rank_incremental(scene, scorer)
-                .into_iter()
-                .map(|c| (c.class.to_string(), c.score))
-                .collect(),
-            ServeApp::MissingObs => MissingObsFinder::default()
-                .rank_incremental(scene, scorer)
-                .into_iter()
-                .map(|c| {
-                    let frame = scene.bundle(c.bundle).frame.0;
-                    (format!("frame {frame} {}", c.class), c.score)
-                })
-                .collect(),
-            ServeApp::ModelErrors => {
-                let excluded = self.me_ranker.excluded(scene);
-                self.me_ranker
-                    .finder
-                    .rank_incremental(scene, scorer, &excluded)
-                    .into_iter()
-                    .map(|c| (c.class.to_string(), c.score))
-                    .collect()
-            }
-            ServeApp::LabelAudit => LabelAuditFinder::default()
-                .rank_incremental(scene, scorer)
-                .into_iter()
-                .map(|c| (c.class.to_string(), c.score))
-                .collect(),
         }
     }
 }
@@ -254,13 +151,13 @@ impl<'c> Session<'c> {
         // contract needs every delta applied in order.
         for frame in &self.released {
             self.engines.assembler.push_frame(frame)?;
-            self.engines.assembler.update_snapshot(&mut self.scene)?;
-            let delta = self.engines.assembler.last_delta().expect("delta after push");
-            self.engines.scorer.rescore_delta(&self.scene, delta);
+            self.engines
+                .assembler
+                .update_rescored(&mut self.scene, &mut self.engines.scorer)?;
         }
         self.stats.frames += self.released.len() as u64;
         self.stats.reordered = self.engines.reorder.reordered_released();
-        self.worklist = ctx.rank(&self.scene, &mut self.engines.scorer);
+        self.worklist = ctx.app.worklist(&self.scene, &mut self.engines.scorer);
         if let (Some(t0), Some(metrics)) = (t0, loa_obs::recorder()) {
             let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.latency.record(us);

@@ -184,7 +184,7 @@ fn incremental_worklists_equal_batch_worklists() {
         if scene.n_observations() > 4 {
             excluded.insert(ObsIdx(scene.n_observations() / 2));
         }
-        let incr = finder.rank_incremental(&scene, &mut scorer, &excluded);
+        let incr = finder.rank_scored(&scene, scorer.score_all_tracks(&scene), &excluded);
         let batch = finder.rank(&scene, &track_fx.library, &excluded).unwrap();
         assert_eq!(incr.len(), batch.len());
         for (a, b) in incr.iter().zip(&batch) {
@@ -194,8 +194,8 @@ fn incremental_worklists_equal_batch_worklists() {
     }
 
     // Bundle ranking path (MissingObsFinder-shaped via BundleAuditFinder
-    // machinery is covered by the score-level proptest; here exercise
-    // rank_incremental on bundles with the full feature set).
+    // machinery is covered by the score-level proptest; here rank
+    // cached bundle scores with the full feature set).
     let finder = MissingObsFinder::default();
     let features = finder.feature_set();
     let library = Learner::new()
@@ -210,7 +210,7 @@ fn incremental_worklists_equal_batch_worklists() {
         assembler.push_frame(frame).unwrap();
         assembler.update_snapshot(&mut scene).unwrap();
         scorer.rescore_delta(&scene, assembler.last_delta().unwrap());
-        let incr = finder.rank_incremental(&scene, &mut scorer);
+        let incr = finder.rank_scored(&scene, scorer.score_all_bundles(&scene));
         let batch = finder.rank(&scene, &library).unwrap();
         assert_eq!(incr.len(), batch.len());
         for (a, b) in incr.iter().zip(&batch) {

@@ -19,16 +19,13 @@ use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::OnceLock;
 
-const APPS: [ServeApp; 4] =
-    [ServeApp::MissingTracks, ServeApp::MissingObs, ServeApp::ModelErrors, ServeApp::LabelAudit];
-
 /// One fitted context per app (fitting is the expensive part; done once
 /// per process). The four apps cover all three assembly presets.
 fn contexts() -> &'static [ServeContext; 4] {
     static CTXS: OnceLock<[ServeContext; 4]> = OnceLock::new();
     CTXS.get_or_init(|| {
         let train = ScenarioFuzzer::new(41).training_corpus(2);
-        APPS.map(|app| {
+        ServeApp::ALL.map(|app| {
             let library = Learner { assembly: app.assembly() }
                 .fit(&app.feature_set(), &train)
                 .expect("fit");
