@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fixy_core::Learner;
 use loa_data::{generate_scene, DatasetProfile, SceneData};
-use loa_serve::{AuditService, Request, ServeApp, ServeContext, ServiceCfg};
+use loa_serve::{delivery_order, AuditService, Request, ServeApp, ServeContext, ServiceCfg};
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -45,25 +45,6 @@ fn context() -> ServeContext {
         .fit(&app.feature_set(), &train)
         .expect("fit");
     ServeContext::new(app, library).expect("context")
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Bounded shuffle: stable sort by `index + jitter`, jitter in
-/// `0..=late` — every frame lands within `late` of its slot.
-fn delivery_order(n: usize, late: u32, seed: u64) -> Vec<usize> {
-    let mut state = seed;
-    let mut keyed: Vec<(u64, usize)> = (0..n)
-        .map(|i| (i as u64 + splitmix64(&mut state) % (u64::from(late) + 1), i))
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 fn bench_interleaved_sessions(c: &mut Criterion) {

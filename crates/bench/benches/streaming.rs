@@ -17,15 +17,15 @@
 //!   scene-directory rank through `process_stream` + `CorpusSource`
 //!   (O(workers) scenes resident) against load-everything + `run`.
 //! * `streaming/incremental_rescore_per_frame` vs
-//!   `full_rescore_per_frame` — the O(Δ) cached-component path
-//!   (`update_rescored` + cached sweep) against a
-//!   from-scratch compile+score of every snapshot, on a short and a
-//!   long scene. Divide medians by the frame count for per-frame cost:
-//!   the full path grows with scene length, the incremental path stays
-//!   flat.
+//!   `full_rescore_per_frame` — the pair `fixy stream --compare-full`
+//!   runs (a whole `loa_serve::Session` frame, labelled worklist
+//!   included, vs push + `ServeContext::full_worklist` of a fresh
+//!   snapshot), on a short and a long scene. Divide medians by the
+//!   frame count for per-frame cost: the full path grows with scene
+//!   length, the incremental path stays flat.
 //!
 //! * `streaming/obs_recorder_absent_per_frame` vs
-//!   `obs_recorder_installed_per_frame` — the incremental hot loop with
+//!   `obs_recorder_installed_per_frame` — the same session replay with
 //!   `loa_obs` recording off vs on. The delta is the whole cost of the
 //!   instrumentation (`bench_obs_overhead` also hard-asserts it stays
 //!   under 3% or 2us per frame, so a regression fails the bench run
@@ -34,11 +34,12 @@
 //! Set `FIXY_BENCH_SMOKE=1` to run on a miniature scene with 3 samples —
 //! the CI smoke mode that keeps the bench compiling *and* executing.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fixy_core::prelude::*;
 use fixy_core::Learner;
-use loa_data::{generate_scene, DatasetProfile, SceneData};
+use loa_data::{generate_scene, DatasetProfile, Frame, SceneData};
 use loa_ingest::{CorpusSource, StreamingAssembler};
+use loa_serve::{ServeApp, ServeContext, Session};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -50,6 +51,16 @@ fn scene_data(name: &str, seed: u64) -> SceneData {
     let mut cfg = DatasetProfile::InternalLike.scene_config();
     if smoke() {
         cfg.world.duration = 3.0;
+        cfg.lidar.beam_count = 240;
+    }
+    generate_scene(&cfg, name, seed)
+}
+
+/// A 5 s scene (1.5 s in smoke mode).
+fn short_scene(name: &str, seed: u64) -> SceneData {
+    let mut cfg = DatasetProfile::InternalLike.scene_config();
+    cfg.world.duration = if smoke() { 1.5 } else { 5.0 };
+    if smoke() {
         cfg.lidar.beam_count = 240;
     }
     generate_scene(&cfg, name, seed)
@@ -96,14 +107,7 @@ fn bench_streamed_assembly(c: &mut Criterion) {
 
 fn bench_scene_decode(c: &mut Criterion) {
     let full = scene_data("stream-decode", 77);
-    let short = {
-        let mut cfg = DatasetProfile::InternalLike.scene_config();
-        cfg.world.duration = if smoke() { 1.5 } else { 5.0 };
-        if smoke() {
-            cfg.lidar.beam_count = 240;
-        }
-        generate_scene(&cfg, "stream-decode-short", 77)
-    };
+    let short = short_scene("stream-decode-short", 77);
     let dir = std::env::temp_dir().join("fixy_bench_streaming_decode");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let fscb_path = dir.join("scene.fscb");
@@ -201,60 +205,59 @@ fn bench_corpus_rank(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn bench_incremental_rescore(c: &mut Criterion) {
-    let finder = MissingTrackFinder::default();
-    let features = finder.feature_set();
+/// A missing-tracks serving context fitted on two training scenes.
+fn missing_tracks_context(name: &str, seed: u64) -> ServeContext {
+    let app = ServeApp::MissingTracks;
     let train: Vec<_> = (0..2)
-        .map(|i| scene_data(&format!("incr-train-{i}"), 600 + i))
+        .map(|i| scene_data(&format!("{name}-train-{i}"), seed + i))
         .collect();
-    let library = Learner::new().fit(&features, &train).expect("fit");
+    let library = Learner::new().fit(&app.feature_set(), &train).expect("fit");
+    ServeContext::new(app, library).expect("context")
+}
 
+/// Replay a whole scene through `session` in index order, as `fixy
+/// stream` does: every push must release its frame.
+fn replay(session: &mut Session<'_>, data: &SceneData, frames: Vec<Frame>) -> usize {
+    session.begin(&data.id, data.frame_dt);
+    let mut acc = 0usize;
+    for frame in frames {
+        assert_eq!(session.push(black_box(frame)).expect("push"), 1);
+        acc += session.worklist_entries().len();
+    }
+    acc + session.close().entries.len()
+}
+
+fn bench_incremental_rescore(c: &mut Criterion) {
+    let ctx = missing_tracks_context("incr", 600);
     let long = scene_data("incr-long", 4321);
-    let short = {
-        let mut cfg = DatasetProfile::InternalLike.scene_config();
-        cfg.world.duration = if smoke() { 1.5 } else { 5.0 };
-        if smoke() {
-            cfg.lidar.beam_count = 240;
-        }
-        generate_scene(&cfg, "incr-short", 4321)
-    };
+    let short = short_scene("incr-short", 4321);
 
     let mut group = c.benchmark_group("streaming");
     group.sample_size(if smoke() { 3 } else { 10 });
 
     for (label, data) in [("short", &short), ("long", &long)] {
-        // O(Δ): grow the snapshot in place, re-score only what the
-        // frame's delta invalidated, sweep from cache.
+        // O(Δ): the whole session frame, labelled worklist included. The
+        // frames are cloned outside the timed region (a push takes
+        // ownership).
         group.bench_function(BenchmarkId::new("incremental_rescore_per_frame", label), |b| {
-            let mut assembler = StreamingAssembler::new(AssemblyConfig::default());
-            let mut scorer = IncrementalScorer::new(&features, &library).expect("scorer");
-            b.iter(|| {
-                assembler.begin(data.frame_dt);
-                scorer.begin();
-                let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
-                let mut acc = 0usize;
-                for frame in &data.frames {
-                    assembler.push_frame(black_box(frame)).expect("push");
-                    assembler.update_rescored(&mut scene, &mut scorer).expect("rescore");
-                    acc += scorer.score_all_tracks(&scene).len();
-                }
-                assembler.finalize().expect("finalize");
-                black_box(acc)
-            })
+            let mut session = Session::new(&ctx, 1, usize::MAX);
+            b.iter_batched(
+                || data.frames.clone(),
+                |frames| replay(&mut session, data, frames),
+                BatchSize::LargeInput,
+            )
         });
 
-        // O(scene): from-scratch snapshot + compile + score every frame —
-        // the pre-incremental live path.
+        // O(scene): push, then snapshot + compile + score + rank from
+        // scratch every frame — the `--compare-full` reference.
         group.bench_function(BenchmarkId::new("full_rescore_per_frame", label), |b| {
-            let mut assembler = StreamingAssembler::new(AssemblyConfig::default());
+            let mut assembler = StreamingAssembler::new(ctx.app().assembly());
             b.iter(|| {
                 assembler.begin(data.frame_dt);
                 let mut acc = 0usize;
                 for frame in &data.frames {
                     assembler.push_frame(black_box(frame)).expect("push");
-                    let snapshot = assembler.snapshot();
-                    let engine = ScoreEngine::new(&snapshot, &features, &library).expect("compile");
-                    acc += engine.score_all_tracks().len();
+                    acc += ctx.full_worklist(&assembler.snapshot()).expect("rank").len();
                 }
                 assembler.finalize().expect("finalize");
                 black_box(acc)
@@ -266,52 +269,33 @@ fn bench_incremental_rescore(c: &mut Criterion) {
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
-    let finder = MissingTrackFinder::default();
-    let features = finder.feature_set();
-    let train: Vec<_> = (0..2)
-        .map(|i| scene_data(&format!("obs-train-{i}"), 700 + i))
-        .collect();
-    let library = Learner::new().fit(&features, &train).expect("fit");
-    let data = {
-        let mut cfg = DatasetProfile::InternalLike.scene_config();
-        cfg.world.duration = if smoke() { 1.5 } else { 5.0 };
-        if smoke() {
-            cfg.lidar.beam_count = 240;
-        }
-        generate_scene(&cfg, "obs-overhead", 8901)
-    };
+    let ctx = missing_tracks_context("obs", 700);
+    let data = short_scene("obs-overhead", 8901);
 
-    // The instrumented hot loop: push + snapshot + O(Δ) rescore + cached
-    // sweep — every `loa_obs` touchpoint on the streaming path fires
-    // here (Push/Snapshot/Rescore/Score spans, cache and ingest
-    // counters, dirty-set histogram).
-    let replay = |assembler: &mut StreamingAssembler, scorer: &mut IncrementalScorer<'_>| {
-        assembler.begin(data.frame_dt);
-        scorer.begin();
-        let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
-        let mut acc = 0usize;
-        for frame in &data.frames {
-            assembler.push_frame(black_box(frame)).expect("push");
-            assembler.update_rescored(&mut scene, scorer).expect("rescore");
-            acc += scorer.score_all_tracks(&scene).len();
-        }
-        assembler.finalize().expect("finalize");
-        acc
-    };
-
-    let mut assembler = StreamingAssembler::new(AssemblyConfig::default());
-    let mut scorer = IncrementalScorer::new(&features, &library).expect("scorer");
+    // The instrumented hot loop is the session replay: every `loa_obs`
+    // touchpoint on the streaming path fires there (Push/Snapshot/
+    // Rescore/Score/Rank spans, cache and ingest counters, dirty-set
+    // histogram, per-frame latency).
+    let mut session = Session::new(&ctx, 1, usize::MAX);
 
     let mut group = c.benchmark_group("streaming");
     group.sample_size(if smoke() { 3 } else { 10 });
 
     loa_obs::disable_all();
     group.bench_function("obs_recorder_absent_per_frame", |b| {
-        b.iter(|| black_box(replay(&mut assembler, &mut scorer)))
+        b.iter_batched(
+            || data.frames.clone(),
+            |frames| replay(&mut session, &data, frames),
+            BatchSize::LargeInput,
+        )
     });
     loa_obs::enable_metrics();
     group.bench_function("obs_recorder_installed_per_frame", |b| {
-        b.iter(|| black_box(replay(&mut assembler, &mut scorer)))
+        b.iter_batched(
+            || data.frames.clone(),
+            |frames| replay(&mut session, &data, frames),
+            BatchSize::LargeInput,
+        )
     });
     loa_obs::disable_all();
     group.finish();
@@ -319,21 +303,22 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // Hard gate, not just a snapshot: best-of-K replays with the
     // recorder absent vs installed. Installed must cost <3% — or, for
     // tiny smoke scenes where 3% is below timer noise, <2us/frame.
-    let best_of = |assembler: &mut StreamingAssembler, scorer: &mut IncrementalScorer<'_>| {
+    let best_of = |session: &mut Session<'_>| {
         let reps = if smoke() { 3 } else { 7 };
         (0..reps)
             .map(|_| {
+                let frames = data.frames.clone();
                 let t0 = std::time::Instant::now();
-                black_box(replay(assembler, scorer));
+                black_box(replay(session, &data, frames));
                 t0.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min)
     };
-    replay(&mut assembler, &mut scorer); // warm caches/allocations
+    replay(&mut session, &data, data.frames.clone()); // warm caches/allocations
     loa_obs::disable_all();
-    let off = best_of(&mut assembler, &mut scorer);
+    let off = best_of(&mut session);
     loa_obs::enable_metrics();
-    let on = best_of(&mut assembler, &mut scorer);
+    let on = best_of(&mut session);
     loa_obs::disable_all();
     let per_frame_overhead_us = (on - off).max(0.0) / data.frames.len() as f64 * 1e6;
     assert!(

@@ -44,7 +44,7 @@ ratio. convert --library migrates one library file to the other format
 (JSON -> .flcb or .flcb -> JSON; --out defaults to the input path with
 the extension swapped).
 
-stream replays one scene frame-by-frame through the StreamingAssembler,
+stream replays one scene frame-by-frame through serve's session loop,
 re-ranking the partial scene after every frame and printing per-frame
 latency: the live-deployment path, where errors surface before the
 scene has even finished recording. Re-ranking is incremental (cached

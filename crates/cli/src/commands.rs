@@ -8,8 +8,8 @@ use crate::CliError;
 use fixy_core::prelude::*;
 use fixy_core::Learner;
 use loa_data::SceneData;
-use loa_ingest::{CorpusSource, IngestError, StreamingAssembler};
-use loa_serve::ServeApp;
+use loa_ingest::{CorpusSource, IngestError};
+use loa_serve::{ServeApp, ServeError};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -456,36 +456,44 @@ fn convert_corpus(data: &std::path::Path, out_dir: &std::path::Path) -> Result<S
     Ok(out)
 }
 
-/// `fixy stream`: replay one scene frame-by-frame through the
-/// [`StreamingAssembler`], re-ranking the partial scene after every
-/// frame — the live-deployment path, where a 300 mph pedestrian
-/// surfaces while the scene is still recording. `.fscb` input decodes
-/// truly frame-by-frame; `.json` input is parsed once, then replayed.
+/// `fixy stream`: replay one scene frame by frame through a
+/// [`loa_serve::Session`] — the loop `fixy serve` runs for every live
+/// stream — re-ranking the partial scene after every frame. `.fscb`
+/// input decodes frame by frame; `.json` is parsed once, then replayed.
 ///
-/// Re-ranking runs the O(Δ) incremental path: the snapshot grows in
-/// place, and `IncrementalScorer` re-scores only the components the
-/// frame's assembly delta invalidated. `--compare-full` additionally
-/// runs the from-scratch compile+score every frame, reports
-/// delta-vs-full latency, and fails on any worklist divergence (labels
-/// or score bits). `--trace` turns on `loa_obs` span recording and
-/// appends a per-frame stage-timing table (push / snapshot / rescore /
-/// score / rank) built from the drained span stream.
+/// The session has a reorder window of 1 and no frame budget. A frame
+/// it rejects or does not release fails the replay, as whole-scene
+/// validation fails batch `rank`. `--compare-full` also ranks a fresh
+/// snapshot every frame ([`loa_serve::ServeContext::full_worklist`]) and
+/// fails on any divergence (labels or score bits); `--trace` appends a
+/// per-frame stage table (push / snapshot / rescore / score / rank).
 pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     if args.trace {
         loa_obs::enable_all();
     }
-    let app = args.app;
-    let library = load_library_for(&args.library, app)?;
-    let library = &library;
-    let features = app.feature_set();
-
-    let mut out = String::new();
-    let mut assembler = StreamingAssembler::new(app.assembly());
-    let mut scorer = IncrementalScorer::new(&features, library)?;
-    let mut push_us: Vec<f64> = Vec::new();
-    let mut score_us: Vec<f64> = Vec::new();
-    let mut full_us: Vec<f64> = Vec::new();
-    let mut worklist: Vec<(String, f64)> = Vec::new();
+    let ctx = loa_serve::ServeContext::new(args.app, load_library_for(&args.library, args.app)?)?;
+    type Frames = Box<dyn Iterator<Item = Result<loa_data::Frame, IngestError>>>;
+    let (scene_id, frame_dt, frames): (String, f64, Frames) =
+        if args.scene.extension().and_then(|e| e.to_str()) == Some(loa_ingest::FSCB_EXTENSION) {
+            let mut reader = loa_ingest::FrameReader::open(&args.scene)?;
+            let (id, dt) = (reader.id().to_string(), reader.frame_dt());
+            (
+                id,
+                dt,
+                Box::new(std::iter::from_fn(move || reader.next_frame().transpose())),
+            )
+        } else {
+            let data = loa_ingest::load_scene_auto(&args.scene)?;
+            (data.id, data.frame_dt, Box::new(data.frames.into_iter().map(Ok)))
+        };
+    // A refused scene or frame fails the replay, in the words batch
+    // `rank` uses for the same defect.
+    let invalid_scene = |reason: String| -> CliError {
+        IngestError::Scene(loa_data::io::IoError::Invalid(reason)).into()
+    };
+    loa_data::SceneData::validate_frame_dt(frame_dt).map_err(invalid_scene)?;
+    let mut session = loa_serve::Session::new(&ctx, 1, usize::MAX);
+    session.begin(&scene_id, frame_dt);
 
     // `--trace`: per-frame per-stage totals, aggregated from the spans
     // the instrumented layers record on this thread.
@@ -496,161 +504,120 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         loa_obs::Stage::Score,
         loa_obs::Stage::Rank,
     ];
-    let mut trace_rows: Vec<(u64, [u64; TRACE_STAGES.len()])> = Vec::new();
+    let mut trace = String::from(
+        "per-frame stage timings (spans, us):\n\
+         frame      push  snapshot   rescore     score      rank\n",
+    );
+    let mut trace_totals = [0u64; TRACE_STAGES.len()];
+    let mut out = String::new();
+    let mut frame_us: Vec<f64> = Vec::new();
+    let mut full_us: Vec<f64> = Vec::new();
 
-    let mut replay_frame = |assembler: &mut StreamingAssembler,
-                            scene: &mut Scene,
-                            scorer: &mut IncrementalScorer<'_>,
-                            frame: &loa_data::Frame|
-     -> Result<(), CliError> {
+    for frame in frames {
+        let frame = frame?;
+        let index = frame.index.0;
         let t0 = std::time::Instant::now();
-        assembler.push_frame(frame)?;
-        let push = t0.elapsed().as_secs_f64() * 1e6;
-        let t1 = std::time::Instant::now();
-        // The incremental path: the worklist served from cached component
-        // scores.
-        assembler.update_rescored(scene, scorer)?;
-        let ranked = app.worklist(scene, scorer);
-        let score = t1.elapsed().as_secs_f64() * 1e6;
+        match session.push(frame) {
+            Ok(0) => return Err(IngestError::DuplicateFrame { frame: index }.into()),
+            Ok(_) => {}
+            Err(ServeError::InvalidFrame { reason, .. }) => return Err(invalid_scene(reason)),
+            Err(e) => return Err(e.into()),
+        }
+        frame_us.push(t0.elapsed().as_secs_f64() * 1e6);
 
         if args.trace {
-            let mut totals = [0u64; TRACE_STAGES.len()];
+            let mut row = [0u64; TRACE_STAGES.len()];
             for rec in loa_obs::drain_thread_spans() {
                 if let Some(col) = TRACE_STAGES.iter().position(|s| *s == rec.stage) {
-                    totals[col] += rec.dur_us;
+                    row[col] += rec.dur_us;
                 }
             }
-            trace_rows.push((u64::from(frame.index.0), totals));
+            let [push, snap, rescore, score, rank] = row;
+            let _ = writeln!(
+                trace,
+                "{index:>5} {push:>9} {snap:>9} {rescore:>9} {score:>9} {rank:>9}"
+            );
+            for (t, v) in trace_totals.iter_mut().zip(row) {
+                *t += v;
+            }
         }
 
+        let ranked = session.worklist_entries();
         if args.compare_full {
-            // The full (from-scratch) reference: snapshot, compile,
-            // score and rank the same worklist.
-            let t2 = std::time::Instant::now();
-            let snapshot = assembler.snapshot();
-            let full_ranked =
-                app.worklist(&snapshot, &mut ScoreEngine::new(&snapshot, &features, library)?);
-            let full = t2.elapsed().as_secs_f64() * 1e6;
+            let t1 = std::time::Instant::now();
+            let full = ctx.full_worklist(&session.snapshot())?;
+            full_us.push(t1.elapsed().as_secs_f64() * 1e6);
             if args.trace {
                 // Keep the reference path's spans out of the next frame's
                 // stage row.
                 let _ = loa_obs::drain_thread_spans();
             }
-            let diverged = full_ranked.len() != ranked.len()
-                || full_ranked
+            let diverged = full.len() != ranked.len()
+                || full
                     .iter()
-                    .zip(&ranked)
+                    .zip(ranked)
                     .any(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits());
             if diverged {
                 return Err(CliError::Invalid(format!(
-                    "frame {}: incremental worklist diverged from full re-rank \
+                    "frame {index}: incremental worklist diverged from full re-rank \
                      ({} vs {} candidate(s))",
-                    frame.index.0,
                     ranked.len(),
-                    full_ranked.len(),
+                    full.len(),
                 )));
             }
-            full_us.push(full);
         }
 
         let _ = writeln!(
             out,
-            "frame {:>3}  obs {:>4}  tracks {:>3}  cands {:>3}  top {:<8}  push {:>8.1}us  score {:>9.1}us{}",
-            frame.index.0,
-            scene.n_observations(),
-            scene.n_tracks(),
+            "frame {:>3}  obs {:>4}  tracks {:>3}  cands {:>3}  top {:<8}  time {:>9.1}us{}",
+            index,
+            session.scene().n_observations(),
+            session.scene().n_tracks(),
             ranked.len(),
             ranked
                 .first()
                 .map(|(_, s)| format!("{s:.3}"))
                 .unwrap_or_else(|| "-".into()),
-            push,
-            score,
+            frame_us.last().copied().unwrap_or_default(),
             full_us
                 .last()
                 .map(|f| format!("  full {f:>9.1}us"))
                 .unwrap_or_default(),
         );
-        push_us.push(push);
-        score_us.push(score);
-        worklist = ranked;
-        Ok(())
-    };
-
-    let scene_id: String;
-    if args.scene.extension().and_then(|e| e.to_str()) == Some(loa_ingest::FSCB_EXTENSION) {
-        let mut reader = loa_ingest::FrameReader::open(&args.scene)?;
-        scene_id = reader.id().to_string();
-        assembler.begin(reader.frame_dt());
-        let mut scene = Scene::from_parts(vec![], vec![], vec![], reader.frame_dt(), 0);
-        while let Some(frame) = reader.next_frame()? {
-            replay_frame(&mut assembler, &mut scene, &mut scorer, &frame)?;
-        }
-    } else {
-        let data = loa_ingest::load_scene_auto(&args.scene)?;
-        scene_id = data.id.clone();
-        assembler.begin(data.frame_dt);
-        let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
-        for frame in &data.frames {
-            replay_frame(&mut assembler, &mut scene, &mut scorer, frame)?;
-        }
     }
-    let final_scene = assembler.finalize()?;
 
-    let n = push_us.len().max(1) as f64;
-    let mean_push = push_us.iter().sum::<f64>() / n;
-    let mean_score = score_us.iter().sum::<f64>() / n;
-    let max_frame = push_us
-        .iter()
-        .zip(&score_us)
-        .map(|(p, s)| p + s)
-        .fold(0.0f64, f64::max);
-    let mut summary = String::new();
+    if frame_us.is_empty() {
+        return Err(invalid_scene("scene has no frames".into()));
+    }
+    let n_tracks = session.scene().n_tracks();
+    let worklist = session.close();
+    let n = frame_us.len() as f64;
+    let mean_frame = frame_us.iter().sum::<f64>() / n;
     let _ = writeln!(
-        summary,
-        "streamed {}: {} frame(s), {} track(s) final; per-frame mean push {:.1}us + score {:.1}us, worst frame {:.1}us",
-        scene_id,
-        push_us.len(),
-        final_scene.n_tracks(),
-        mean_push,
-        mean_score,
-        max_frame,
+        out,
+        "streamed {}: {} frame(s), {} track(s) final; per-frame mean {:.1}us, worst frame {:.1}us",
+        worklist.scene_id,
+        frame_us.len(),
+        n_tracks,
+        mean_frame,
+        frame_us.iter().copied().fold(0.0f64, f64::max),
     );
     if args.compare_full {
         let mean_full = full_us.iter().sum::<f64>() / n;
         let _ = writeln!(
-            summary,
+            out,
             "incremental vs full: mean {:.1}us vs {:.1}us per frame ({:.1}x); worklists identical on every frame",
-            mean_score,
+            mean_frame,
             mean_full,
-            mean_full / mean_score.max(1e-9),
+            mean_full / mean_frame.max(1e-9),
         );
     }
     if args.trace {
-        let _ = writeln!(summary, "per-frame stage timings (spans, us):");
-        let _ = writeln!(summary, "frame      push  snapshot   rescore     score      rank");
-        let mut totals = [0u64; TRACE_STAGES.len()];
-        for (frame, row) in &trace_rows {
-            let _ = writeln!(
-                summary,
-                "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                frame, row[0], row[1], row[2], row[3], row[4],
-            );
-            for (t, v) in totals.iter_mut().zip(row) {
-                *t += v;
-            }
-        }
-        let _ = writeln!(
-            summary,
-            "total {:>9} {:>9} {:>9} {:>9} {:>9}",
-            totals[0], totals[1], totals[2], totals[3], totals[4],
-        );
+        let [push, snap, rescore, score, rank] = trace_totals;
+        let _ = writeln!(trace, "total {push:>9} {snap:>9} {rescore:>9} {score:>9} {rank:>9}");
+        out.push_str(&trace);
     }
-    let _ = writeln!(summary, "final worklist ({} candidate(s)):", worklist.len());
-    for (i, (label, score)) in worklist.iter().take(args.top).enumerate() {
-        let _ = writeln!(summary, "  {:<3} {:<20} {:.3}", i + 1, label, score);
-    }
-    out.push_str(&summary);
+    out.push_str(&worklist.render_final(args.top));
     Ok(out)
 }
 
@@ -731,7 +698,11 @@ pub fn feed(args: FeedArgs) -> Result<String, CliError> {
         .iter()
         .enumerate()
         .map(|(sid, scene)| {
-            delivery_order(scene.frames.len(), args.late, args.seed.wrapping_add(sid as u64))
+            loa_serve::delivery_order(
+                scene.frames.len(),
+                args.late,
+                args.seed.wrapping_add(sid as u64),
+            )
         })
         .collect();
     let mut cursors = vec![0usize; scenes.len()];
@@ -792,31 +763,6 @@ pub fn feed(args: FeedArgs) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "fed {} scene(s), {} frame(s) scored", scenes.len(), total_frames);
     Ok(out)
-}
-
-/// Delivery order for `n` frames where no frame lands more than `late`
-/// positions from its index: stable-sort by `index + jitter` with
-/// jitter drawn from `0..=late`. If frame `j` is still outstanding when
-/// `i` is delivered then `j + late >= key_j >= key_i >= i`, so the
-/// server-side watermark never trails a delivered index by more than
-/// `late` — any reorder window above `late` absorbs the shuffle.
-fn delivery_order(n: usize, late: u32, seed: u64) -> Vec<usize> {
-    let mut state = seed;
-    let mut keyed: Vec<(u64, usize)> = (0..n)
-        .map(|i| (i as u64 + splitmix64(&mut state) % (u64::from(late) + 1), i))
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, i)| i).collect()
-}
-
-/// SplitMix64 — a tiny deterministic stream for the delivery shuffle,
-/// keeping the CLI free of RNG crates.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// `fixy render`: ASCII render of one frame (and optionally an SVG).
@@ -1307,6 +1253,55 @@ mod tests {
         .unwrap())
         .unwrap_err();
         assert!(err.to_string().contains("fitted for app"), "{err}");
+
+        // Frames are validated as they stream: rewrite the scene as .fscb
+        // (unvalidated on write) with one defect and run `cmd` on it.
+        let clean = loa_data::io::load_scene(&json_scene).unwrap();
+        let run_on = |cmd: &str, scene: &loa_data::SceneData| {
+            let path = dir.join("defect.fscb");
+            loa_ingest::write_scene(scene, &path).unwrap();
+            run(parse(&argv(&format!(
+                "{cmd} --scene {} --library {}",
+                path.display(),
+                lib_path.display()
+            )))
+            .unwrap())
+        };
+        // Every defect fails both: a NaN detection centre, a bad frame
+        // period and an empty scene in rank's words, a duplicated or a
+        // skipped index in the session's.
+        let mut nan = clean.clone();
+        let (fi, frame) = nan
+            .frames
+            .iter_mut()
+            .enumerate()
+            .find(|(_, f)| !f.detections.is_empty())
+            .expect("a frame with detections");
+        frame.detections[0].bbox.center.x = f64::NAN;
+        let nan_msg = format!("invalid detection box in frame {fi}");
+        let mut bad_dt = clean.clone();
+        bad_dt.frame_dt = f64::NAN;
+        let mut empty = clean.clone();
+        empty.frames.clear();
+        let mut dup = clean.clone();
+        dup.frames.insert(1, dup.frames[0].clone());
+        let mut skipped = clean;
+        skipped.frames.remove(1);
+        for (scene, msg, stream_msg) in [
+            (&nan, nan_msg.as_str(), None),
+            (&bad_dt, "bad frame_dt NaN", None),
+            (&empty, "scene has no frames", None),
+            (&dup, "frame 1 has index", Some("duplicate frame index 0")),
+            (&skipped, "frame 1 has index", Some("frame 2")),
+        ] {
+            let rank_err = run_on("rank", scene).unwrap_err().to_string();
+            assert!(rank_err.contains(msg), "{rank_err}");
+            let err = run_on("stream", scene).unwrap_err().to_string();
+            match stream_msg {
+                None => assert_eq!(err, rank_err),
+                Some(stream_msg) => assert!(err.contains(stream_msg), "{err}"),
+            }
+        }
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

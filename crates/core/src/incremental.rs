@@ -78,16 +78,10 @@ struct FactorRec {
 /// Incremental counterpart of [`crate::score::ScoreEngine`]: same scores
 /// (bit-identical, default `Within` scope), O(Δ) per streamed frame.
 ///
-/// ```text
-/// let mut scorer = IncrementalScorer::new(&features, &library)?;
-/// assembler.begin(dt);            // and scorer.begin() when reusing
-/// for frame in stream {
-///     assembler.push_frame(&frame)?;
-///     // O(Δ) scene growth, then rescore_delta(last_delta):
-///     assembler.update_rescored(&mut scene, &mut scorer)?;
-///     let ranked = finder.rank_scored(&scene, scorer.score_all_tracks(&scene));
-/// }
-/// ```
+/// Each frame's [`FrameDelta`] goes to [`rescore_delta`](Self::rescore_delta)
+/// in frame order (the streaming assembler's `update_rescored` does this);
+/// sweeps then read the cached component scores. The one loop that
+/// drives it frame by frame is `loa_serve::Session`.
 pub struct IncrementalScorer<'a> {
     features: &'a FeatureSet,
     /// Pre-resolved distributions, one slot per feature (None for manual
@@ -190,11 +184,6 @@ impl<'a> IncrementalScorer<'a> {
         self.comp_cache.clear();
         self.n_obs = 0;
         self.n_bundles = 0;
-    }
-
-    /// Number of observations ingested so far.
-    pub fn obs_ingested(&self) -> usize {
-        self.n_obs
     }
 
     /// Ingest one frame's assembly delta against the snapshot covering

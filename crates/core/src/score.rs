@@ -108,11 +108,6 @@ impl<'a> ScoreEngine<'a> {
             .score_component(&vars, self.options.scope, |info| info.probability)
     }
 
-    /// Score a single observation.
-    pub fn score_observation(&self, obs: ObsIdx) -> ComponentScore {
-        self.score_obs_set(std::slice::from_ref(&obs))
-    }
-
     /// Score an observation bundle.
     pub fn score_bundle(&self, bundle: BundleIdx) -> ComponentScore {
         self.score_obs_set(self.scene.bundle_obs(bundle))
@@ -307,7 +302,7 @@ mod tests {
         ]);
         let engine = ScoreEngine::new(&scene, &features, &FeatureLibrary::default()).unwrap();
         // A single observation's Within-score sees only its obs factor.
-        let s = engine.score_observation(crate::scene::ObsIdx(0));
+        let s = engine.score_obs_set(&[crate::scene::ObsIdx(0)]);
         assert_eq!(s.factor_count, 1);
         assert!((s.score.unwrap() - 0.5f64.ln()).abs() < 1e-12);
         // Touching scope would pull in the transition factor too.
@@ -318,7 +313,7 @@ mod tests {
             ScoreOptions { scope: ScopeMode::Touching },
         )
         .unwrap();
-        let s = touching.score_observation(crate::scene::ObsIdx(0));
+        let s = touching.score_obs_set(&[crate::scene::ObsIdx(0)]);
         assert_eq!(s.factor_count, 2);
     }
 

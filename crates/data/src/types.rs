@@ -133,6 +133,28 @@ impl Frame {
     pub fn visible_gt(&self) -> impl Iterator<Item = &GtBox> {
         self.gt.iter().filter(|g| g.visible)
     }
+
+    /// Validate the frame's own contents (box validity, detection
+    /// confidence range): what streaming consumers check per frame, and
+    /// what [`SceneData::validate`] runs on every frame.
+    pub fn validate(&self) -> Result<(), String> {
+        let i = self.index.0;
+        if self.gt.iter().any(|g| !g.bbox.is_valid()) {
+            return Err(format!("invalid gt box in frame {i}"));
+        }
+        if self.human_labels.iter().any(|l| !l.bbox.is_valid()) {
+            return Err(format!("invalid label box in frame {i}"));
+        }
+        for d in &self.detections {
+            if !d.bbox.is_valid() {
+                return Err(format!("invalid detection box in frame {i}"));
+            }
+            if !(0.0..=1.0).contains(&d.confidence) {
+                return Err(format!("confidence {} out of range in frame {i}", d.confidence));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A record of one entirely-missed track (the most egregious vendor error).
@@ -332,16 +354,13 @@ impl SceneData {
         self.frames.len()
     }
 
-    /// Distinct ground-truth tracks visible at least once.
-    pub fn visible_track_ids(&self) -> Vec<TrackId> {
-        let mut ids: Vec<TrackId> = self
-            .frames
-            .iter()
-            .flat_map(|f| f.visible_gt().map(|g| g.track))
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
+    /// The frame-period check of [`validate`](Self::validate), for
+    /// readers that see a scene header before its frames.
+    pub fn validate_frame_dt(frame_dt: f64) -> Result<(), String> {
+        if !(frame_dt.is_finite() && frame_dt > 0.0) {
+            return Err(format!("bad frame_dt {frame_dt}"));
+        }
+        Ok(())
     }
 
     /// Validate structural invariants (frame ordering, box validity).
@@ -350,31 +369,12 @@ impl SceneData {
         if self.frames.is_empty() {
             return Err("scene has no frames".into());
         }
-        if !(self.frame_dt.is_finite() && self.frame_dt > 0.0) {
-            return Err(format!("bad frame_dt {}", self.frame_dt));
-        }
+        Self::validate_frame_dt(self.frame_dt)?;
         for (i, frame) in self.frames.iter().enumerate() {
             if frame.index.0 as usize != i {
                 return Err(format!("frame {} has index {:?}", i, frame.index));
             }
-            for g in &frame.gt {
-                if !g.bbox.is_valid() {
-                    return Err(format!("invalid gt box in frame {i}"));
-                }
-            }
-            for l in &frame.human_labels {
-                if !l.bbox.is_valid() {
-                    return Err(format!("invalid label box in frame {i}"));
-                }
-            }
-            for d in &frame.detections {
-                if !d.bbox.is_valid() {
-                    return Err(format!("invalid detection box in frame {i}"));
-                }
-                if !(0.0..=1.0).contains(&d.confidence) {
-                    return Err(format!("confidence {} out of range in frame {i}", d.confidence));
-                }
-            }
+            frame.validate()?;
         }
         Ok(())
     }
@@ -446,7 +446,6 @@ mod tests {
         };
         assert_eq!(scene.frame_count(), 3);
         assert!((scene.duration() - 0.6).abs() < 1e-12);
-        assert_eq!(scene.visible_track_ids(), vec![TrackId(1)]);
         scene.validate().unwrap();
     }
 
@@ -490,6 +489,10 @@ mod tests {
             localization_error: false,
         });
         assert!(bad_conf.validate().is_err());
+        assert_eq!(
+            bad_conf.frames[0].validate(),
+            Err("confidence 1.5 out of range in frame 0".to_string())
+        );
     }
 
     #[test]

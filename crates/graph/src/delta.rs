@@ -92,21 +92,6 @@ impl DeltaComponentIndex {
         VarId(x)
     }
 
-    /// Read-only root lookup (no path compression).
-    pub fn root_of(&self, v: VarId) -> VarId {
-        let mut x = v.0;
-        while self.parent[x] as usize != x {
-            x = self.parent[x] as usize;
-        }
-        VarId(x)
-    }
-
-    /// Current size of `v`'s component.
-    pub fn component_size(&mut self, v: VarId) -> usize {
-        let r = self.find(v);
-        self.members[r.0].len()
-    }
-
     /// The members of the component rooted at `root` (unordered). Empty
     /// for non-root variables — pass a [`find`](Self::find) result.
     pub fn members_of_root(&self, root: VarId) -> &[VarId] {
@@ -161,12 +146,6 @@ impl DeltaComponentIndex {
             self.dirty_flag[r.0] = true;
             self.dirty.push(r);
         }
-    }
-
-    /// Whether `v`'s component is currently dirty.
-    pub fn is_dirty(&mut self, v: VarId) -> bool {
-        let r = self.find(v);
-        self.dirty_flag[r.0]
     }
 
     /// Drain the dirty set: the current roots of every component whose
@@ -247,12 +226,12 @@ mod tests {
         d.union(vars[2], vars[3]);
         match d.union(vars[1], vars[3]) {
             UnionOutcome::Merged { absorbed_size: 2, root, .. } => {
-                assert_eq!(d.component_size(root), 4);
+                assert_eq!(d.members_of_root(root).len(), 4);
             }
             other => panic!("expected merge of two pairs, got {other:?}"),
         }
         // vars[4] untouched.
-        assert_eq!(d.component_size(vars[4]), 1);
+        assert_eq!(d.members_of_root(vars[4]).len(), 1);
     }
 
     #[test]
@@ -296,7 +275,7 @@ mod tests {
         assert_eq!(d.var_count(), 0);
         assert!(d.take_dirty().is_empty());
         let a2 = d.add_var();
-        assert_eq!(d.component_size(a2), 1);
+        assert_eq!(d.members_of_root(a2).len(), 1);
     }
 
     /// Incremental feeding matches the batch partition, and dirty roots

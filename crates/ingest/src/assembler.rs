@@ -13,7 +13,10 @@
 //! [`snapshot_at`](StreamingAssembler::snapshot_at) materialize the
 //! partial scene so a live app can score mid-stream — the per-frame
 //! sweep never revises a past assignment, so a prefix snapshot equals a
-//! batch assembly of the truncated scene.
+//! batch assembly of the truncated scene. Live scoring does not loop
+//! over this by hand: `loa_serve::Session` drives push →
+//! [`update_rescored`](StreamingAssembler::update_rescored) → worklist
+//! for `fixy stream`, `fixy serve` and the `streaming` bench alike.
 
 use crate::error::IngestError;
 use fixy_core::{AssemblyConfig, AssemblyEngine, FrameDelta, IncrementalScorer, Scene};
@@ -29,18 +32,10 @@ fn expected_index(pushed: usize) -> Result<u32, IngestError> {
 }
 
 /// The incremental assembler: a validating, reusable streaming front-end
-/// over [`AssemblyEngine`]'s begin/push/finish stages.
-///
-/// ```text
-/// let mut asm = StreamingAssembler::new(AssemblyConfig::default());
-/// asm.begin(frame_dt);
-/// for frame in stream {            // e.g. FrameReader::next_frame()
-///     asm.push_frame(&frame)?;
-///     let partial = asm.snapshot();     // score before end-of-scene
-/// }
-/// let scene = asm.finalize()?;     // == Scene::assemble over the frames
-/// asm.begin(next_frame_dt);        // buffers survive for the next scene
-/// ```
+/// over [`AssemblyEngine`]'s begin/push/finish stages. `begin` starts a
+/// scene, `push_frame` ingests each frame, `finalize` returns the scene
+/// (equal to `Scene::assemble` over the same frames), and every buffer
+/// survives into the next `begin`.
 #[derive(Debug)]
 pub struct StreamingAssembler {
     engine: AssemblyEngine,
@@ -52,28 +47,12 @@ impl StreamingAssembler {
         StreamingAssembler { engine: AssemblyEngine::new(cfg), streaming: false }
     }
 
-    pub fn config(&self) -> &AssemblyConfig {
-        self.engine.config()
-    }
-
-    /// Swap the assembly configuration. Applies from the next
-    /// [`begin`](Self::begin); swapping mid-scene is a caller bug.
-    pub fn set_config(&mut self, cfg: AssemblyConfig) {
-        self.engine.set_config(cfg);
-    }
-
     /// Start a new scene. Discards any unfinalized frames; every
     /// internal buffer (grids, union-find, score matrices) survives from
     /// the previous scene.
     pub fn begin(&mut self, frame_dt: f64) {
         self.engine.begin(frame_dt);
         self.streaming = true;
-    }
-
-    /// Whether a scene is in progress (`begin` called, not yet
-    /// `finalize`d).
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
     }
 
     /// Number of frames pushed since [`begin`](Self::begin).
@@ -85,10 +64,9 @@ impl StreamingAssembler {
     ///
     /// Frames must arrive in strictly increasing index order with no
     /// gaps — a lower-or-equal index is a [`IngestError::DuplicateFrame`],
-    /// a higher one an [`IngestError::OutOfOrderFrame`]. (For transports
-    /// that cannot guarantee this, put a
-    /// [`ReorderBuffer`](crate::ReorderBuffer) in front and push every
-    /// frame its `accept_into` releases.)
+    /// a higher one an [`IngestError::OutOfOrderFrame`]. Transports that
+    /// cannot guarantee this go through `loa_serve::Session`, which puts
+    /// a [`ReorderBuffer`](crate::ReorderBuffer) in front.
     pub fn push_frame(&mut self, frame: &Frame) -> Result<(), IngestError> {
         if !self.streaming {
             return Err(IngestError::NotStreaming);

@@ -361,7 +361,6 @@ fn decode_injected(payload: &[u8]) -> Result<InjectedErrors, IngestError> {
 pub struct FrameWriter<W: Write> {
     out: W,
     enc: Enc,
-    frames_written: usize,
 }
 
 impl FrameWriter<BufWriter<File>> {
@@ -379,11 +378,7 @@ impl<W: Write> FrameWriter<W> {
         out.write_all(&(id.len() as u32).to_le_bytes())?;
         out.write_all(id.as_bytes())?;
         out.write_all(&frame_dt.to_le_bytes())?;
-        Ok(FrameWriter { out, enc: Enc::default(), frames_written: 0 })
-    }
-
-    pub fn frames_written(&self) -> usize {
-        self.frames_written
+        Ok(FrameWriter { out, enc: Enc::default() })
     }
 
     fn write_record(&mut self, tag: u8) -> Result<(), IngestError> {
@@ -397,9 +392,7 @@ impl<W: Write> FrameWriter<W> {
     /// Append one frame record.
     pub fn push_frame(&mut self, frame: &Frame) -> Result<(), IngestError> {
         encode_frame(&mut self.enc, frame);
-        self.write_record(TAG_FRAME)?;
-        self.frames_written += 1;
-        Ok(())
+        self.write_record(TAG_FRAME)
     }
 
     /// Write the injected-error trailer, flush, and return the sink. A
@@ -483,7 +476,7 @@ impl<Rd: Read> FrameReader<Rd> {
     }
 
     /// Decode the next frame record, or `None` once the trailer is
-    /// reached (after which [`injected`](Self::injected) is available).
+    /// reached (after which [`take_injected`](Self::take_injected) has it).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, IngestError> {
         if self.done {
             return Ok(None);
@@ -511,13 +504,8 @@ impl<Rd: Read> FrameReader<Rd> {
         }
     }
 
-    /// The injected-error audit — `Some` once [`next_frame`](Self::next_frame)
-    /// has returned `None`.
-    pub fn injected(&self) -> Option<&InjectedErrors> {
-        self.injected.as_ref()
-    }
-
-    /// Take ownership of the injected-error audit after the trailer.
+    /// Take ownership of the injected-error audit — `Some` once
+    /// [`next_frame`](Self::next_frame) has returned `None`.
     pub fn take_injected(&mut self) -> Option<InjectedErrors> {
         self.injected.take()
     }
@@ -602,7 +590,7 @@ mod tests {
         let mut reader = FrameReader::open(&path).unwrap();
         assert_eq!(reader.id(), scene.id);
         assert_eq!(reader.frame_dt().to_bits(), scene.frame_dt.to_bits());
-        assert!(reader.injected().is_none(), "trailer must not be pre-read");
+        assert!(reader.take_injected().is_none(), "trailer must not be pre-read");
         let mut n = 0;
         while let Some(frame) = reader.next_frame().unwrap() {
             assert_eq!(frame.index.0 as usize, n);
@@ -678,7 +666,7 @@ mod tests {
         }
         let mut reader = FrameReader::new(sink.as_slice()).unwrap();
         assert!(reader.next_frame().unwrap().is_none());
-        assert!(reader.injected().is_some());
+        assert!(reader.take_injected().is_some());
 
         // Single-frame scene through the whole-scene path.
         let mut scene = tiny_scene(15);

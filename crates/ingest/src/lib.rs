@@ -19,7 +19,9 @@
 //!   ([`fixy_core::IncrementalScorer`]; equivalence proptests in
 //!   `tests/incremental.rs`).
 //!   [`update_rescored`](StreamingAssembler::update_rescored) runs both
-//!   steps in the order the scorer needs, once per pushed frame.
+//!   steps in the order the scorer needs, once per pushed frame. The
+//!   live loop around it (validate → reorder → push → rescore → rank)
+//!   is `loa_serve::Session`, shared by `fixy stream` and `fixy serve`.
 //! * **Binary scene format** — [`fscb`]: a compact, frame-framed
 //!   on-disk layout ([`FrameWriter`]/[`FrameReader`]) decodable
 //!   frame-by-frame straight into the assembler, with exact `f64`

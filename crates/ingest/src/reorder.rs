@@ -49,19 +49,9 @@ pub enum ReorderOutcome {
 }
 
 /// A bounded reorder stage in front of a frame consumer (usually a
-/// [`StreamingAssembler`](crate::StreamingAssembler)).
-///
-/// ```text
-/// let mut buf = ReorderBuffer::new(8);
-/// let mut released = Vec::new();
-/// for frame in transport {               // late / duplicated / early
-///     released.clear();
-///     buf.accept_into(frame, &mut released)?;   // window errors are recoverable
-///     for frame in &released {           // always dense, in index order
-///         assembler.push_frame(frame)?;
-///     }
-/// }
-/// ```
+/// [`StreamingAssembler`](crate::StreamingAssembler)): every frame
+/// [`accept_into`](Self::accept_into) releases is dense and in index
+/// order, ready to push. `loa_serve::Session` is the loop that does so.
 #[derive(Debug)]
 pub struct ReorderBuffer {
     window: u32,
@@ -172,14 +162,6 @@ impl ReorderBuffer {
         Ok(ReorderOutcome::Released(released))
     }
 
-    /// Convenience form of [`accept_into`](Self::accept_into) returning
-    /// a fresh `Vec` of released frames.
-    pub fn accept(&mut self, frame: Frame) -> Result<Vec<Frame>, IngestError> {
-        let mut out = Vec::new();
-        self.accept_into(frame, &mut out)?;
-        Ok(out)
-    }
-
     /// End-of-stream drain: the indexes of frames that were buffered but
     /// never released because the gap below them was never filled. The
     /// buffer is left empty (the watermark is untouched — call
@@ -215,6 +197,14 @@ mod tests {
 
     fn indexes(frames: &[Frame]) -> Vec<u32> {
         frames.iter().map(|f| f.index.0).collect()
+    }
+
+    impl ReorderBuffer {
+        /// `accept_into` a fresh `Vec`.
+        fn accept(&mut self, frame: Frame) -> Result<Vec<Frame>, IngestError> {
+            let mut out = Vec::new();
+            self.accept_into(frame, &mut out).map(|_| out)
+        }
     }
 
     #[test]

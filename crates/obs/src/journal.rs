@@ -71,11 +71,6 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Total events ever pushed (retained or overwritten).
-    pub fn total_recorded(&self) -> u64 {
-        self.lock().next_seq
-    }
-
     pub fn clear(&self) {
         let mut ring = self.lock();
         ring.events.clear();
@@ -97,7 +92,7 @@ mod tests {
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0], JournalEvent { seq: 2, label: "ev", a: 2, b: 0 });
         assert_eq!(recent[2], JournalEvent { seq: 4, label: "ev", a: 4, b: 0 });
-        assert_eq!(j.total_recorded(), 5);
+        assert_eq!(j.lock().next_seq, 5);
         assert_eq!(j.recent(1).len(), 1);
         assert_eq!(j.recent(1)[0].seq, 4);
     }

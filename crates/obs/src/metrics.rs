@@ -85,14 +85,14 @@ pub const HISTOGRAM_BUCKETS: usize = 28;
 /// A fixed log₂-bucketed latency histogram with quantile estimation.
 ///
 /// Values are expected in microseconds but the math is unit-agnostic.
-/// Recording is four relaxed atomic RMWs (bucket, count, sum, max);
-/// reads are tearing-tolerant (a concurrent reader may see a sample in
-/// `count` before its bucket, which only perturbs estimates, never
-/// panics).
+/// Recording is two relaxed atomic RMWs (bucket, sum) plus a load of
+/// the max, which is only written when the sample raises it; the count
+/// is the sum of the buckets. Reads are tearing-tolerant (a concurrent
+/// reader may see a sample in `sum` before its bucket, which only
+/// perturbs estimates, never panics).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -125,7 +125,6 @@ impl Histogram {
     pub const fn new() -> Self {
         Histogram {
             buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -134,13 +133,16 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
+        // A load is far cheaper than fetch_max's CAS loop on this hot
+        // path, and the max rarely moves.
+        if v > self.max.load(Relaxed) {
+            self.max.fetch_max(v, Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
+        self.buckets.iter().map(|b| b.load(Relaxed)).sum()
     }
 
     pub fn sum(&self) -> u64 {
@@ -162,7 +164,8 @@ impl Histogram {
     /// estimate is monotone in `q` and always lies in
     /// `[0, max_value()]`.
     pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
+        let buckets = self.bucket_counts();
+        let count: u64 = buckets.iter().sum();
         if count == 0 {
             return 0;
         }
@@ -170,8 +173,7 @@ impl Histogram {
         let target = ((q * count as f64).ceil() as u64).clamp(1, count);
         let max = self.max_value();
         let mut cum = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let c = bucket.load(Relaxed);
+        for (i, &c) in buckets.iter().enumerate() {
             if c == 0 {
                 continue;
             }
@@ -190,8 +192,7 @@ impl Histogram {
             }
             cum += c;
         }
-        // Unreachable for consistent snapshots; under torn concurrent
-        // reads fall back to the observed max.
+        // Unreachable: the target rank is at most the bucket total.
         max
     }
 
@@ -211,7 +212,6 @@ impl Histogram {
         for b in &self.buckets {
             b.store(0, Relaxed);
         }
-        self.count.store(0, Relaxed);
         self.sum.store(0, Relaxed);
         self.max.store(0, Relaxed);
     }

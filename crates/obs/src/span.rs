@@ -10,11 +10,12 @@
 //!
 //! The ring overwrites oldest-first at 1024 records, so enabling spans
 //! in a long-lived server thread that never drains cannot grow memory
-//! without bound.
+//! without bound. A [`FrameClock`] chains back-to-back spans so they
+//! share clock reads.
 
 use crate::registry::Stage;
 use crate::{recorder, spans_enabled};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -39,6 +40,8 @@ thread_local! {
     static THREAD_SPANS: RefCell<ThreadSpans> = const {
         RefCell::new(ThreadSpans { depth: 0, completed: VecDeque::new() })
     };
+    /// While a [`FrameClock`] lives: where the next span starts.
+    static EDGE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
 /// An in-flight stage timing, closed on drop.
@@ -73,14 +76,17 @@ impl ObsSpan {
         } else {
             None
         };
-        ObsSpan { stage, start: Some(Instant::now()), traced_depth }
+        let start = EDGE.get().unwrap_or_else(Instant::now);
+        ObsSpan { stage, start: Some(start), traced_depth }
     }
 }
 
 impl Drop for ObsSpan {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        let dur_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let end = Instant::now();
+        EDGE.set(EDGE.get().map(|_| end));
+        let dur_us = micros(end - start);
         if let Some(metrics) = recorder() {
             metrics.stage(self.stage).record(dur_us);
         }
@@ -95,6 +101,42 @@ impl Drop for ObsSpan {
             });
         }
     }
+}
+
+/// Times back-to-back spans on this thread (a served frame) with one
+/// clock read per stage boundary instead of two per span: until the
+/// clock drops, a span starts where the previous one ended (the first
+/// at the clock's start), so un-spanned code between spans is billed to
+/// the later one.
+#[must_use = "spans chain only while the clock lives"]
+#[derive(Debug)]
+pub struct FrameClock {
+    /// `None` when observability was off at start: spans time alone.
+    start: Option<Instant>,
+}
+
+impl FrameClock {
+    pub fn start() -> FrameClock {
+        let start = (crate::state_bits() != 0).then(Instant::now);
+        EDGE.set(start);
+        FrameClock { start }
+    }
+
+    /// Microseconds from the start to the end of the last span closed
+    /// since; `None` when observability was off at start.
+    pub fn elapsed_us(&self) -> Option<u64> {
+        Some(micros(EDGE.get()? - self.start?))
+    }
+}
+
+impl Drop for FrameClock {
+    fn drop(&mut self) {
+        EDGE.set(None);
+    }
+}
+
+fn micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Drain and return this thread's completed spans, in completion order.
@@ -124,6 +166,30 @@ mod tests {
         let drained = drain_thread_spans();
         crate::disable_all();
         assert_eq!(drained.len(), THREAD_RING_CAP);
+    }
+
+    #[test]
+    fn frame_clock_chains_spans_end_to_start() {
+        let _g = crate::test_guard();
+        crate::enable_spans();
+        let clock = FrameClock::start();
+        let first = ObsSpan::enter(Stage::Push);
+        assert_eq!(first.start, clock.start, "the first span starts with the clock");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        drop(first);
+        let edge = EDGE.get();
+        let second = ObsSpan::enter(Stage::Snapshot);
+        assert_eq!(second.start, edge, "the next span starts where the last ended");
+        drop(second);
+        let us = clock.elapsed_us().unwrap();
+        drop(clock);
+        assert!(EDGE.get().is_none(), "dropping the clock ends the chain");
+        let spans = drain_thread_spans();
+        crate::disable_all();
+        // The spans tile the clock's time, up to per-span rounding.
+        let sum = spans[0].dur_us + spans[1].dur_us;
+        assert!(spans[0].dur_us >= 2000, "{spans:?}");
+        assert!((sum..=sum + 1).contains(&us), "{us} vs {spans:?}");
     }
 
     #[test]

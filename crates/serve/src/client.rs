@@ -2,8 +2,9 @@
 //!
 //! [`FeedClient`] speaks the serving protocol from the other side —
 //! `fixy feed` uses it to replay `.fscb` scenes (optionally shuffled
-//! within the reorder window) against `fixy serve`, and the integration
-//! tests drive it against an in-process server.
+//! within the reorder window by [`delivery_order`]) against `fixy
+//! serve`, and the integration tests drive it against an in-process
+//! server.
 
 use crate::error::ServeError;
 use crate::protocol::{
@@ -101,4 +102,25 @@ impl FeedClient {
             other => Err(ServeError::Protocol(format!("expected BYE, got {other:?}"))),
         }
     }
+}
+
+/// Delivery order for `n` frames where no frame lands more than `late`
+/// positions from its index: sort by `index + jitter`, jitter seeded
+/// SplitMix64 in `0..=late`. If frame `j` is outstanding when `i` is
+/// delivered then `j + late >= key_j >= key_i >= i`, so any reorder
+/// window above `late` absorbs the shuffle.
+pub fn delivery_order(n: usize, late: u32, seed: u64) -> Vec<usize> {
+    let mut state = seed;
+    let mut splitmix64 = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut keyed: Vec<(u64, usize)> = (0..n)
+        .map(|i| (i as u64 + splitmix64() % (u64::from(late) + 1), i))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
 }

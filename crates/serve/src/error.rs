@@ -26,6 +26,9 @@ pub enum ServeError {
     /// A frame index at or past the per-session frame budget — the
     /// bound that keeps one runaway stream from holding memory forever.
     FrameLimit { frame: u32, max: usize },
+    /// A frame failed [`loa_data::Frame::validate`]; `reason` is its
+    /// message, the words batch `rank`'s whole-scene check uses.
+    InvalidFrame { frame: u32, reason: String },
     /// The server answered a request with an error message.
     Remote(String),
     /// The server hung up before answering.
@@ -41,6 +44,7 @@ impl ServeError {
             self,
             ServeError::Ingest(IngestError::ReorderWindowExceeded { .. })
                 | ServeError::FrameLimit { .. }
+                | ServeError::InvalidFrame { .. }
         )
     }
 }
@@ -60,6 +64,7 @@ impl std::fmt::Display for ServeError {
             ServeError::FrameLimit { frame, max } => {
                 write!(f, "frame {frame} is past the per-session frame budget ({max})")
             }
+            ServeError::InvalidFrame { reason, .. } => write!(f, "{reason}"),
             ServeError::Remote(msg) => write!(f, "server error: {msg}"),
             ServeError::ServerClosed => write!(f, "server closed the connection"),
         }
@@ -99,6 +104,12 @@ mod tests {
         assert!(e.is_frame_recoverable());
         let e: ServeError =
             IngestError::ReorderWindowExceeded { frame: 9, watermark: 0, window: 4 }.into();
+        assert!(e.is_frame_recoverable());
+        let e = ServeError::InvalidFrame {
+            frame: 3,
+            reason: "invalid detection box in frame 3".into(),
+        };
+        assert_eq!(e.to_string(), "invalid detection box in frame 3");
         assert!(e.is_frame_recoverable());
         // Anything structural is hard.
         let e: ServeError = IngestError::NotStreaming.into();

@@ -10,19 +10,20 @@
 //!   audit application (assembly preset, feature set, worklist) that
 //!   `fixy learn`, `rank`, `stream` and `serve` all share, so an app
 //!   means the same thing offline and live.
-//! * **Sessions** — each live stream owns the incremental pair
+//! * **Sessions** — [`Session`], the one streaming loop `fixy stream`
+//!   and `fixy serve` share: the incremental pair
 //!   ([`loa_ingest::StreamingAssembler`] +
 //!   [`fixy_core::IncrementalScorer`], ranked by
-//!   [`ServeApp::worklist`]) behind a bounded
-//!   [`loa_ingest::ReorderBuffer`], so the per-frame
-//!   cost stays O(Δ) and transport jitter (late, early, duplicated
-//!   frames) inside the window is absorbed instead of fatal. A session's
-//!   worklist at watermark *n* is byte-identical to `fixy stream`'s
-//!   after *n* in-order frames (locked by `tests/serve.rs`).
+//!   [`ServeApp::worklist`]) behind per-frame validation and a bounded
+//!   [`loa_ingest::ReorderBuffer`], so the per-frame cost stays O(Δ)
+//!   and transport jitter inside the window is absorbed instead of
+//!   fatal. Its in-order worklist equals
+//!   [`ServeContext::full_worklist`] of the batch-assembled scene
+//!   (locked by `tests/serve.rs`).
 //! * **Session table** — [`AuditService`]: bounded concurrent sessions,
-//!   a per-session frame budget, and engine pooling — closed sessions
-//!   hand their assembler/scorer/reorder trio back, and the next open
-//!   reuses it via `begin()`, so steady-state churn allocates nothing.
+//!   a per-session frame budget, and session pooling — a closed session
+//!   keeps its engines for the next open, so steady-state churn rebuilds
+//!   no engines.
 //! * **Wire protocol** — [`protocol`]: preamble + tagged length-prefixed
 //!   envelopes whose frame payloads are exactly the `.fscb` frame-record
 //!   bytes, so recorded scenes replay over the wire without recoding.
@@ -34,7 +35,8 @@
 //!   once). [`FeedClient`] is the replay side.
 //!
 //! Everything fails typed ([`ServeError`]); per-frame rejections the
-//! session can survive (beyond-window, over-budget) are absorbed into
+//! session can survive (beyond-window, over-budget, invalid frame
+//! contents) are absorbed into
 //! [`SessionStats`] and reported with the final worklist — or live,
 //! mid-session, through the `STATS` request/response pair.
 //!
@@ -54,7 +56,7 @@ pub mod service;
 pub mod session;
 
 pub use app::ServeApp;
-pub use client::FeedClient;
+pub use client::{delivery_order, FeedClient};
 pub use error::ServeError;
 pub use metrics::serve_metrics;
 pub use protocol::{Request, Response, SessionStats, Worklist};

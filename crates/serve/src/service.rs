@@ -6,14 +6,14 @@
 //! bench drives one in-process, and tests exercise it without a socket.
 //! It enforces the resource bounds that make residency safe (session
 //! cap, per-session frame budget, bounded reorder windows) and recycles
-//! engine trios across session churn: a closed session's assembler,
-//! scorer, and reorder buffer go to a pool, and the next open reuses
-//! them via `begin()` — so steady-state session turnover allocates
-//! nothing.
+//! sessions across churn: a closed [`Session`] keeps its assembler,
+//! scorer, and reorder buffer and goes to a pool, and the next open
+//! reuses it via [`Session::begin`] — so steady-state session turnover
+//! rebuilds no engines.
 
 use crate::error::ServeError;
 use crate::protocol::{SessionStats, Worklist};
-use crate::session::{Engines, ServeContext, Session};
+use crate::session::{ServeContext, Session};
 use loa_data::Frame;
 use std::collections::HashMap;
 
@@ -41,7 +41,8 @@ pub struct AuditService<'c> {
     ctx: &'c ServeContext,
     cfg: ServiceCfg,
     sessions: HashMap<u32, Session<'c>>,
-    pool: Vec<Engines<'c>>,
+    /// Closed sessions, engines kept, scene and worklist dropped.
+    pool: Vec<Session<'c>>,
     engines_built: u64,
     sessions_served: u64,
 }
@@ -58,10 +59,6 @@ impl<'c> AuditService<'c> {
         }
     }
 
-    pub fn cfg(&self) -> &ServiceCfg {
-        &self.cfg
-    }
-
     /// Currently open sessions.
     pub fn open_sessions(&self) -> usize {
         self.sessions.len()
@@ -72,8 +69,8 @@ impl<'c> AuditService<'c> {
         self.sessions_served
     }
 
-    /// Engine trios built from scratch — stays flat under session churn
-    /// because closes feed the pool.
+    /// Sessions (engine trios) built from scratch — stays flat under
+    /// session churn because closes feed the pool.
     pub fn engines_built(&self) -> u64 {
         self.engines_built
     }
@@ -98,26 +95,25 @@ impl<'c> AuditService<'c> {
             }
         }
         loa_obs::journal_event("session_open", session as u64, self.sessions.len() as u64 + 1);
-        let engines = pooled.unwrap_or_else(|| {
+        let mut sess = pooled.unwrap_or_else(|| {
             self.engines_built += 1;
-            self.ctx.new_engines(self.cfg.window)
+            Session::new(self.ctx, self.cfg.window, self.cfg.max_frames)
         });
-        self.sessions.insert(
-            session,
-            Session::start(engines, scene_id, frame_dt, self.cfg.max_frames),
-        );
+        sess.begin(scene_id, frame_dt);
+        self.sessions.insert(session, sess);
         Ok(())
     }
 
     /// Feed one frame. Recoverable rejections (beyond-window,
-    /// over-budget) are absorbed into the session's stats — the session
-    /// and the connection both survive; the stats surface at close.
+    /// over-budget, invalid frame contents) are absorbed into the
+    /// session's stats — the session and the connection both survive;
+    /// the stats surface at close.
     pub fn frame(&mut self, session: u32, frame: Frame) -> Result<(), ServeError> {
         let sess = self
             .sessions
             .get_mut(&session)
             .ok_or(ServeError::UnknownSession(session))?;
-        match sess.push(self.ctx, frame) {
+        match sess.push(frame) {
             Ok(_) => Ok(()),
             Err(e) if e.is_frame_recoverable() => {
                 loa_obs::journal_event("frame_reject", session as u64, frame_index(&e));
@@ -151,14 +147,14 @@ impl<'c> AuditService<'c> {
             .ok_or(ServeError::UnknownSession(session))
     }
 
-    /// Close a session: final worklist out, engines back to the pool.
+    /// Close a session: final worklist out, session back to the pool.
     pub fn close(&mut self, session: u32) -> Result<Worklist, ServeError> {
-        let sess = self
+        let mut sess = self
             .sessions
             .remove(&session)
             .ok_or(ServeError::UnknownSession(session))?;
-        let (worklist, engines) = sess.close();
-        self.pool.push(engines);
+        let worklist = sess.close();
+        self.pool.push(sess);
         self.sessions_served += 1;
         if let Some(metrics) = loa_obs::recorder() {
             metrics.sessions_closed.inc();
@@ -176,7 +172,9 @@ impl<'c> AuditService<'c> {
 /// journal's numeric operand.
 fn frame_index(e: &ServeError) -> u64 {
     match e {
-        ServeError::FrameLimit { frame, .. } => *frame as u64,
+        ServeError::FrameLimit { frame, .. } | ServeError::InvalidFrame { frame, .. } => {
+            *frame as u64
+        }
         ServeError::Ingest(loa_ingest::IngestError::ReorderWindowExceeded { frame, .. }) => {
             *frame as u64
         }

@@ -1,25 +1,21 @@
-//! One resident audit session: the PR 6 streaming trio behind a reorder
-//! buffer.
+//! One audit session: the only streaming loop.
 //!
-//! A session is the per-stream state of the service — a
-//! [`StreamingAssembler`], an [`IncrementalScorer`] bound to the shared
-//! app context, and a [`ReorderBuffer`] absorbing transport jitter in
-//! front of them. Each frame the buffer releases runs the full O(Δ)
-//! hot loop (`push_frame`, then `update_rescored`), and the app's
-//! worklist is re-ranked from the cached component scores — so a
-//! session's worklist at watermark *n* is byte-identical to `fixy
-//! stream`'s after *n* in-order frames, no matter how the transport
-//! shuffled delivery inside the window.
-//!
-//! The engines (all their internal buffers: grids, union-find, score
-//! caches) outlive sessions: [`Session::close`] hands them back for the
-//! pool in [`AuditService`](crate::AuditService), and `begin()` resets
-//! reuse them for the next stream.
+//! A [`Session`] owns a [`StreamingAssembler`], an [`IncrementalScorer`]
+//! bound to the shared context, and a [`ReorderBuffer`] in front of
+//! them. A pushed frame is validated and handed to the buffer; every
+//! frame it releases runs `push_frame` then `update_rescored`, and the
+//! app's worklist is re-ranked from the cached component scores. `fixy
+//! stream` replays a scene through one session (window 1, no frame
+//! budget), [`AuditService`](crate::AuditService) runs one per live
+//! stream, and the `streaming` bench times it. The engines' buffers
+//! outlive streams: [`Session::close`] drops the scene and worklist,
+//! and [`Session::begin`] resets the engines for the next stream.
 
 use crate::app::ServeApp;
 use crate::error::ServeError;
 use crate::protocol::{SessionStats, Worklist};
-use fixy_core::{FeatureLibrary, FeatureSet, IncrementalScorer, Scene};
+use fixy_core::score::ScoreEngine;
+use fixy_core::{FeatureLibrary, FeatureSet, FixyError, IncrementalScorer, Scene};
 use loa_data::Frame;
 use loa_ingest::{ReorderBuffer, StreamingAssembler};
 
@@ -48,66 +44,48 @@ impl ServeContext {
         self.app
     }
 
-    /// Build a fresh engine trio for a session with the given reorder
-    /// window.
-    pub fn new_engines(&self, window: u32) -> Engines<'_> {
-        Engines {
-            assembler: StreamingAssembler::new(self.app.assembly()),
-            scorer: IncrementalScorer::new(&self.features, &self.library)
-                .expect("validated at ServeContext::new"),
-            reorder: ReorderBuffer::new(window),
-        }
+    /// The app's worklist for `scene` from a fresh [`ScoreEngine`]: the
+    /// reference a session's worklist equals, bit for bit.
+    pub fn full_worklist(&self, scene: &Scene) -> Result<Vec<(String, f64)>, FixyError> {
+        let mut engine = ScoreEngine::new(scene, &self.features, &self.library)?;
+        Ok(self.app.worklist(scene, &mut engine))
     }
 }
 
-/// The per-session engine trio. All internal allocations survive
-/// session churn: [`Session::close`] returns the engines and
-/// [`Engines::begin`] resets them for the next stream.
-pub struct Engines<'c> {
-    pub(crate) assembler: StreamingAssembler,
-    pub(crate) scorer: IncrementalScorer<'c>,
-    pub(crate) reorder: ReorderBuffer,
-}
-
-impl Engines<'_> {
-    /// Reset every engine for a new stream (buffers survive).
-    fn begin(&mut self, frame_dt: f64) {
-        self.assembler.begin(frame_dt);
-        self.scorer.begin();
-        self.reorder.begin();
-    }
-}
-
-/// One live audit stream: scene id, engine trio, grown snapshot, latest
-/// worklist, and delivery stats.
+/// One audit stream: its engines, grown snapshot, latest worklist, and
+/// delivery stats. Reusable: [`begin`](Self::begin) starts a stream,
+/// [`close`](Self::close) ends it, and the engines' allocations survive
+/// from one stream to the next.
 pub struct Session<'c> {
+    app: ServeApp,
     scene_id: String,
-    engines: Engines<'c>,
+    assembler: StreamingAssembler,
+    scorer: IncrementalScorer<'c>,
+    reorder: ReorderBuffer,
     scene: Scene,
     worklist: Vec<(String, f64)>,
     stats: SessionStats,
     max_frames: usize,
     released: Vec<Frame>,
-    /// Per-frame accept→rank latency for *this* session, recorded only
+    /// Per-frame accept→rank latency for *this* stream, recorded only
     /// while metrics are enabled; quantiles surface in
     /// [`SessionStats`] through `STATS` replies and the close worklist.
     latency: loa_obs::Histogram,
 }
 
 impl<'c> Session<'c> {
-    /// Start a stream on (possibly recycled) engines.
-    pub(crate) fn start(
-        mut engines: Engines<'c>,
-        scene_id: &str,
-        frame_dt: f64,
-        max_frames: usize,
-    ) -> Self {
-        engines.begin(frame_dt);
-        let scene = Scene::from_parts(vec![], vec![], vec![], frame_dt, 0);
+    /// Build a session's engines over `ctx`, with a reorder window of
+    /// `window` frames and a frame budget of `max_frames` indexes. Call
+    /// [`begin`](Self::begin) before the first push.
+    pub fn new(ctx: &'c ServeContext, window: u32, max_frames: usize) -> Self {
         Session {
-            scene_id: scene_id.to_string(),
-            engines,
-            scene,
+            app: ctx.app,
+            scene_id: String::new(),
+            assembler: StreamingAssembler::new(ctx.app.assembly()),
+            scorer: IncrementalScorer::new(&ctx.features, &ctx.library)
+                .expect("validated at ServeContext::new"),
+            reorder: ReorderBuffer::new(window),
+            scene: empty_scene(0.0),
             worklist: Vec::new(),
             stats: SessionStats::default(),
             max_frames,
@@ -116,62 +94,68 @@ impl<'c> Session<'c> {
         }
     }
 
-    pub fn scene_id(&self) -> &str {
-        &self.scene_id
+    /// Start a stream: reset every engine (their buffers survive), the
+    /// scene, the worklist and the stats.
+    pub fn begin(&mut self, scene_id: &str, frame_dt: f64) {
+        self.assembler.begin(frame_dt);
+        self.scorer.begin();
+        self.reorder.begin();
+        self.scene_id = scene_id.to_string();
+        self.scene = empty_scene(frame_dt);
+        self.worklist.clear();
+        self.stats = SessionStats::default();
+        self.latency = loa_obs::Histogram::new();
     }
 
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
+    /// The partial scene over every released frame, grown in place.
+    pub fn scene(&self) -> &Scene {
+        &self.scene
     }
 
-    /// Frames ingested (released through the reorder buffer and scored).
-    pub fn frames(&self) -> u64 {
-        self.stats.frames
+    /// A fresh materialization of the partial scene from the assembler —
+    /// equal to [`scene`](Self::scene), but built without the in-place
+    /// growth path, so it can check it.
+    pub fn snapshot(&self) -> Scene {
+        self.assembler.snapshot()
     }
 
-    /// Accept one frame from the transport. Recoverable rejections
+    /// Accept one frame from the transport. The frame is validated
+    /// before the reorder buffer sees it. Recoverable rejections
     /// ([`ServeError::is_frame_recoverable`]) leave the session fully
     /// usable; the caller decides whether to absorb them into stats
-    /// (the service does) or surface them. Returns the number of frames
-    /// released and scored by this call.
-    pub fn push(&mut self, ctx: &ServeContext, frame: Frame) -> Result<usize, ServeError> {
+    /// (the service does) or surface them (`fixy stream` does). Returns
+    /// the number of frames released and scored by this call.
+    pub fn push(&mut self, frame: Frame) -> Result<usize, ServeError> {
         let index = frame.index.0;
         if index as usize >= self.max_frames {
             return Err(ServeError::FrameLimit { frame: index, max: self.max_frames });
         }
-        let t0 = loa_obs::metrics_enabled().then(std::time::Instant::now);
+        frame
+            .validate()
+            .map_err(|reason| ServeError::InvalidFrame { frame: index, reason })?;
+        // One clock read per stage boundary for the whole frame.
+        let clock = loa_obs::FrameClock::start();
         self.released.clear();
-        let before_dups = self.engines.reorder.duplicates_dropped();
-        self.engines.reorder.accept_into(frame, &mut self.released)?;
-        self.stats.duplicates_dropped += self.engines.reorder.duplicates_dropped() - before_dups;
+        self.reorder.accept_into(frame, &mut self.released)?;
+        self.stats.duplicates_dropped = self.reorder.duplicates_dropped();
         if self.released.is_empty() {
             return Ok(0);
         }
         // The O(Δ) hot loop, once per released frame: the scorer's cache
         // contract needs every delta applied in order.
         for frame in &self.released {
-            self.engines.assembler.push_frame(frame)?;
-            self.engines
-                .assembler
-                .update_rescored(&mut self.scene, &mut self.engines.scorer)?;
+            self.assembler.push_frame(frame)?;
+            self.assembler.update_rescored(&mut self.scene, &mut self.scorer)?;
         }
         self.stats.frames += self.released.len() as u64;
-        self.stats.reordered = self.engines.reorder.reordered_released();
-        self.worklist = ctx.app.worklist(&self.scene, &mut self.engines.scorer);
-        if let (Some(t0), Some(metrics)) = (t0, loa_obs::recorder()) {
-            let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.stats.reordered = self.reorder.reordered_released();
+        self.worklist = self.app.worklist(&self.scene, &mut self.scorer);
+        if let (Some(us), Some(metrics)) = (clock.elapsed_us(), loa_obs::recorder()) {
             self.latency.record(us);
             metrics.frame_latency_us.record(us);
             metrics.frames.add(self.released.len() as u64);
         }
         Ok(self.released.len())
-    }
-
-    /// Decode a `.fscb` frame record off the wire and [`push`](Self::push)
-    /// it.
-    pub fn push_record(&mut self, ctx: &ServeContext, payload: &[u8]) -> Result<usize, ServeError> {
-        let frame = loa_ingest::decode_frame_record(payload)?;
-        self.push(ctx, frame)
     }
 
     /// Record a recoverable per-frame rejection: bump the counter and
@@ -189,30 +173,38 @@ impl<'c> Session<'c> {
     }
 
     /// A live copy of the delivery stats — what a `STATS` request
-    /// returns mid-session. Unlike [`stats`](Self::stats), this fills
-    /// the moment-in-time fields: frames currently parked in the
-    /// reorder buffer and the latency quantile estimates.
+    /// returns mid-session, with the moment-in-time fields filled: frames
+    /// currently parked in the reorder buffer and the latency quantile
+    /// estimates.
     pub fn stats_snapshot(&self) -> SessionStats {
         let mut stats = self.stats.clone();
-        stats.parked = self.engines.reorder.pending() as u64;
+        stats.parked = self.reorder.pending() as u64;
         stats.frame_p50_us = self.latency.p50();
         stats.frame_p99_us = self.latency.p99();
         stats.frame_max_us = self.latency.max_value();
         stats
     }
 
-    /// End the stream: the final worklist plus the engines, ready for
-    /// the pool.
-    pub(crate) fn close(mut self) -> (Worklist, Engines<'c>) {
-        self.stats.stranded = self.engines.reorder.take_stranded().len() as u64;
-        self.stats.frame_p50_us = self.latency.p50();
-        self.stats.frame_p99_us = self.latency.p99();
-        self.stats.frame_max_us = self.latency.max_value();
-        let worklist = Worklist {
-            scene_id: self.scene_id,
-            entries: self.worklist,
-            stats: self.stats,
-        };
-        (worklist, self.engines)
+    /// End the stream and return its final worklist. The grown scene
+    /// and any released frames are dropped; the engines stay, ready for
+    /// the next [`begin`](Self::begin).
+    pub fn close(&mut self) -> Worklist {
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.stranded = self.reorder.take_stranded().len() as u64;
+        stats.frame_p50_us = self.latency.p50();
+        stats.frame_p99_us = self.latency.p99();
+        stats.frame_max_us = self.latency.max_value();
+        self.scene = empty_scene(0.0);
+        self.released.clear();
+        Worklist {
+            scene_id: std::mem::take(&mut self.scene_id),
+            entries: std::mem::take(&mut self.worklist),
+            stats,
+        }
     }
+}
+
+/// The scene a stream's snapshot grows from.
+fn empty_scene(frame_dt: f64) -> Scene {
+    Scene::from_parts(vec![], vec![], vec![], frame_dt, 0)
 }

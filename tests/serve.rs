@@ -1,19 +1,20 @@
 //! Serving conformance: the resident session layer must be invisible in
 //! the results.
 //!
-//! The contract under test is **delivery independence**: a session's
-//! final worklist is byte-identical (labels and f64 score bits) whether
-//! its frames arrived in order, shuffled within the reorder window,
-//! duplicated, or interleaved with other sessions — across every
-//! `ServeApp` (covering all three `AssemblyConfig` presets) and both the
-//! in-process `AuditService` and the TCP wire path. Beyond-window and
-//! over-budget frames must be rejected *recoverably*: counted in stats,
-//! session and connection fully usable afterwards.
+//! The in-order reference is the batch path: a session's final worklist
+//! equals `ServeContext::full_worklist` of the batch-assembled scene,
+//! labels and f64 score bits identical, for every `ServeApp` (all three
+//! `AssemblyConfig` presets). It stays so however its frames arrived:
+//! in order, shuffled within the reorder window, duplicated, or
+//! interleaved with other sessions, in-process and over TCP.
+//! Beyond-window, over-budget and invalid frames are rejected
+//! *recoverably*: counted in stats, session fully usable afterwards.
 
-use fixy::core::Learner;
+use fixy::core::{Learner, Scene};
 use fixy::data::{ScenarioFuzzer, SceneData};
 use fixy::serve::{
-    serve, AuditService, FeedClient, ServeApp, ServeContext, ServeError, ServiceCfg, Worklist,
+    delivery_order, serve, AuditService, FeedClient, ServeApp, ServeContext, ServeError,
+    ServiceCfg, Worklist,
 };
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -34,27 +35,6 @@ fn contexts() -> &'static [ServeContext; 4] {
     })
 }
 
-/// SplitMix64 — deterministic jitter for the bounded shuffles below.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Delivery order where no frame lands more than `late` positions from
-/// its index (stable sort by `index + jitter`, jitter in `0..=late`) —
-/// guaranteed inside any reorder window above `late`.
-fn delivery_order(n: usize, late: u32, seed: u64) -> Vec<usize> {
-    let mut state = seed;
-    let mut keyed: Vec<(u64, usize)> = (0..n)
-        .map(|i| (i as u64 + splitmix64(&mut state) % (u64::from(late) + 1), i))
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, i)| i).collect()
-}
-
 /// Feed one whole scene in index order through a fresh service; the
 /// reference every delivery permutation must reproduce.
 fn in_order_worklist(ctx: &ServeContext, data: &SceneData, cfg: ServiceCfg) -> Worklist {
@@ -66,17 +46,12 @@ fn in_order_worklist(ctx: &ServeContext, data: &SceneData, cfg: ServiceCfg) -> W
     svc.close(0).expect("close")
 }
 
-fn assert_same_entries(got: &Worklist, want: &Worklist, ctx: &str) {
-    assert_eq!(got.entries.len(), want.entries.len(), "{ctx}: worklist length");
-    for (i, ((gl, gs), (wl, ws))) in got.entries.iter().zip(&want.entries).enumerate() {
+fn assert_same_list(got: &[(String, f64)], want: &[(String, f64)], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: worklist length");
+    for (i, ((gl, gs), (wl, ws))) in got.iter().zip(want).enumerate() {
         assert_eq!(gl, wl, "{ctx}: label at rank {i}");
         assert_eq!(gs.to_bits(), ws.to_bits(), "{ctx}: score bits at rank {i} ({gl})");
     }
-    assert_eq!(
-        got.render_final(10),
-        want.render_final(10),
-        "{ctx}: rendered final-worklist block"
-    );
 }
 
 proptest! {
@@ -115,9 +90,70 @@ proptest! {
             assert_eq!(got.stats.duplicates_dropped, dups, "{tag}: dups");
             assert_eq!(got.stats.rejected, 0, "{tag}: rejected");
             assert_eq!(got.stats.stranded, 0, "{tag}: stranded");
-            assert_same_entries(&got, &want, &tag);
+            assert_same_list(&got.entries, &want.entries, &tag);
         }
     }
+}
+
+/// The in-order served worklist equals the from-scratch batch worklist
+/// of the whole scene, for every app — the reference the streaming loop
+/// is held to, independent of the loop itself.
+#[test]
+fn served_worklist_equals_batch_worklist_for_every_app() {
+    for ctx in contexts() {
+        let app = ctx.app();
+        let mut candidates = 0;
+        for (seed, index) in [(3u64, 0u64), (17, 4), (58, 9)] {
+            let data = ScenarioFuzzer::new(seed).scene(index);
+            let got = in_order_worklist(ctx, &data, ServiceCfg::default());
+            let batch = Scene::assemble(&data, &app.assembly());
+            let want = ctx.full_worklist(&batch).expect("full worklist");
+            let tag = format!("{} seed {seed} scene {index}", app.name());
+            assert_eq!(got.stats.frames, data.frames.len() as u64, "{tag}: frames");
+            assert_same_list(&got.entries, &want, &tag);
+            candidates += want.len();
+        }
+        assert!(candidates > 0, "{}: no candidates to compare", app.name());
+    }
+}
+
+/// A frame with a non-finite box is rejected before the reorder buffer
+/// sees it (parked, it would make the valid copy a duplicate): counted,
+/// first message kept, and the session converges once a valid copy of
+/// that index arrives.
+#[test]
+fn invalid_frame_is_rejected_counted_and_recovered() {
+    let ctx = &contexts()[0];
+    let data = ScenarioFuzzer::new(9).scene(1);
+    let k = (1..data.frames.len())
+        .find(|&i| !data.frames[i].detections.is_empty())
+        .expect("a frame with detections after frame 0");
+    let cfg = ServiceCfg { window: 4, ..ServiceCfg::default() };
+    let want = in_order_worklist(ctx, &data, cfg);
+
+    let mut bad = data.frames[k].clone();
+    bad.detections[0].bbox.center.x = f64::NAN;
+    let mut svc = AuditService::new(ctx, cfg);
+    svc.open(0, &data.id, data.frame_dt).unwrap();
+    for frame in &data.frames[..k - 1] {
+        svc.frame(0, frame.clone()).unwrap();
+    }
+    // Watermark k - 1: the invalid frame k is inside the window.
+    svc.frame(0, bad).expect("an invalid frame is absorbed, not fatal");
+    let mid = svc.stats(0).unwrap();
+    assert_eq!(mid.rejected, 1);
+    assert_eq!(mid.parked, 0, "the invalid frame never reached the buffer");
+    let first = mid.first_reject.as_deref().expect("first reject kept");
+    assert_eq!(first, format!("invalid detection box in frame {k}"));
+
+    for frame in &data.frames[k - 1..] {
+        svc.frame(0, frame.clone()).unwrap();
+    }
+    let got = svc.close(0).unwrap();
+    assert_eq!(got.stats.rejected, 1);
+    assert_eq!(got.stats.duplicates_dropped, 0, "the valid copy was not a duplicate");
+    assert_eq!(got.stats.frames, data.frames.len() as u64);
+    assert_same_list(&got.entries, &want.entries, "invalid-frame recovery");
 }
 
 /// A frame beyond the reorder window is rejected recoverably: counted,
@@ -149,7 +185,7 @@ fn beyond_window_rejection_does_not_poison_the_session() {
     let first = got.stats.first_reject.as_deref().expect("first reject kept");
     assert!(first.contains("reorder window"), "unexpected message: {first}");
     assert_eq!(got.stats.frames, data.frames.len() as u64);
-    assert_same_entries(&got, &want, "beyond-window recovery");
+    assert_same_list(&got.entries, &want.entries, "beyond-window recovery");
 }
 
 /// The per-session frame budget is enforced recoverably, and frames
@@ -267,8 +303,8 @@ fn tcp_round_trip_interleaved_sessions_and_shutdown() {
     let got_b = client.close_session(20).unwrap();
     assert_eq!(got_a.scene_id, a.id);
     assert_eq!(got_b.scene_id, b.id);
-    assert_same_entries(&got_a, &want_a, "tcp session A (in order)");
-    assert_same_entries(&got_b, &want_b, "tcp session B (shuffled)");
+    assert_same_list(&got_a.entries, &want_a.entries, "tcp session A (in order)");
+    assert_same_list(&got_b.entries, &want_b.entries, "tcp session B (shuffled)");
     assert_eq!(got_b.stats.frames, b.frames.len() as u64);
     assert!(got_b.stats.duplicates_dropped > 0);
     assert_eq!(got_b.stats.rejected, 0);
