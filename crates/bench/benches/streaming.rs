@@ -218,7 +218,7 @@ fn missing_tracks_context(name: &str, seed: u64) -> ServeContext {
 /// Replay a whole scene through `session` in index order, as `fixy
 /// stream` does: every push must release its frame.
 fn replay(session: &mut Session<'_>, data: &SceneData, frames: Vec<Frame>) -> usize {
-    session.begin(&data.id, data.frame_dt);
+    session.begin(&data.id, data.frame_dt).expect("valid frame_dt");
     let mut acc = 0usize;
     for frame in frames {
         assert_eq!(session.push(black_box(frame)).expect("push"), 1);

@@ -97,8 +97,8 @@ pub fn generate(args: GenerateArgs) -> Result<String, CliError> {
 /// `fixy learn`: fit the app's feature distributions over a scene
 /// directory and write the library file.
 pub fn learn(args: LearnArgs) -> Result<String, CliError> {
-    // Learning needs every training scene at once (distribution fitting
-    // is a whole-corpus operation), so the shared corpus walk buffers.
+    // Decode, per-scene sample collection and per-feature fits all run
+    // on the batch worker pool; the library does not depend on its width.
     let scenes = CorpusSource::open(&args.data)?.load_all()?;
     let features = args.app.feature_set();
     let library = Learner::new().fit(&features, &scenes)?;
@@ -491,9 +491,11 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     let invalid_scene = |reason: String| -> CliError {
         IngestError::Scene(loa_data::io::IoError::Invalid(reason)).into()
     };
-    loa_data::SceneData::validate_frame_dt(frame_dt).map_err(invalid_scene)?;
     let mut session = loa_serve::Session::new(&ctx, 1, usize::MAX);
-    session.begin(&scene_id, frame_dt);
+    session.begin(&scene_id, frame_dt).map_err(|e| match e {
+        ServeError::InvalidScene { reason } => invalid_scene(reason),
+        e => e.into(),
+    })?;
 
     // `--trace`: per-frame per-stage totals, aggregated from the spans
     // the instrumented layers record on this thread.

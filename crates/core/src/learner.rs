@@ -12,7 +12,8 @@
 
 use crate::compile::for_each_target;
 use crate::error::FixyError;
-use crate::feature::{FeatureSet, FeatureValue, ProbabilityModel};
+use crate::feature::{BoundFeature, FeatureKind, FeatureSet, FeatureValue, ProbabilityModel};
+use crate::pipeline::{assemble_reusing_engine, pool_width, run_ordered};
 use crate::scene::{AssemblyConfig, Scene};
 use loa_data::{ObjectClass, SceneData};
 use loa_stats::{Bernoulli, BinnedKde, Density1d, Histogram, Kde1d, KdeNd};
@@ -243,7 +244,19 @@ impl FeatureLibrary {
     }
 
     pub fn insert(&mut self, feature: String, dist: FittedDistribution) {
-        match dist.prepare() {
+        let prepared = dist.prepare();
+        self.insert_prepared(feature, dist, prepared);
+    }
+
+    /// [`insert`](Self::insert) with the prepared form already built
+    /// from `dist` (the learner prepares on its workers).
+    fn insert_prepared(
+        &mut self,
+        feature: String,
+        dist: FittedDistribution,
+        prepared: Option<PreparedDistribution>,
+    ) {
+        match prepared {
             Some(prepared) => {
                 self.prepared.insert(feature.clone(), prepared);
             }
@@ -308,93 +321,146 @@ impl Learner {
         }
     }
 
-    /// Fit all learned features in `features` over raw training scenes.
+    /// Fit all learned features in `features` over raw training scenes,
+    /// on the batch worker pool ([`run_ordered`]) with [`pool_width`]
+    /// workers.
     pub fn fit(
         &self,
         features: &FeatureSet,
         scenes: &[SceneData],
     ) -> Result<FeatureLibrary, FixyError> {
-        let assembled: Vec<Scene> =
-            scenes.iter().map(|s| Scene::assemble(s, &self.assembly)).collect();
-        self.fit_assembled(features, &assembled)
+        self.fit_with_workers(pool_width(), features, scenes)
     }
 
-    /// Fit over already-assembled scenes.
-    ///
-    /// Sample collection makes one target traversal per *feature kind*
-    /// rather than one per feature: every feature ranging over (say)
-    /// tracks collects its values in the same walk, so adding features
-    /// to an application costs fits, not scene re-traversals. Each
-    /// feature's sample sequence (scene order, target order) is
-    /// identical to a per-feature walk, so the fitted distributions are
-    /// bit-identical.
+    /// [`fit`](Self::fit) on exactly `workers` workers. The library does
+    /// not depend on the count: every feature's samples are concatenated
+    /// in scene order, so the fits see the same sequences on any pool.
+    pub fn fit_with_workers(
+        &self,
+        workers: usize,
+        features: &FeatureSet,
+        scenes: &[SceneData],
+    ) -> Result<FeatureLibrary, FixyError> {
+        let learned: Vec<&BoundFeature> = features.learned().collect();
+        let per_scene = run_ordered(workers, scenes, |_, data| {
+            Ok::<_, FixyError>(collect_scene(
+                &learned,
+                &assemble_reusing_engine(data, &self.assembly),
+            ))
+        })?;
+        fit_learned(workers, &learned, per_scene)
+    }
+
+    /// Fit over already-assembled scenes, on the same pool as
+    /// [`fit`](Self::fit).
     pub fn fit_assembled(
         &self,
         features: &FeatureSet,
         scenes: &[Scene],
     ) -> Result<FeatureLibrary, FixyError> {
-        use crate::feature::FeatureKind;
-
-        let learned: Vec<_> = features.learned().collect();
-        let mut scalar_values: Vec<Vec<FeatureValue>> = vec![Vec::new(); learned.len()];
-        let mut vector_values: Vec<Vec<Vec<f64>>> = vec![Vec::new(); learned.len()];
-        for kind in [
-            FeatureKind::Observation,
-            FeatureKind::Bundle,
-            FeatureKind::Transition,
-            FeatureKind::Track,
-        ] {
-            let of_kind: Vec<usize> = learned
-                .iter()
-                .enumerate()
-                .filter(|(_, bf)| bf.feature.kind() == kind)
-                .map(|(i, _)| i)
-                .collect();
-            if of_kind.is_empty() {
-                continue;
-            }
-            for scene in scenes {
-                for_each_target(scene, kind, |target, _edges| {
-                    for &i in &of_kind {
-                        let feature = learned[i].feature.as_ref();
-                        if feature.probability_model() == ProbabilityModel::LearnedJointKde {
-                            if let Some(v) = feature.vector_value(scene, &target) {
-                                vector_values[i].push(v);
-                            }
-                        } else if let Some(v) = feature.value(scene, &target) {
-                            scalar_values[i].push(v);
-                        }
-                    }
-                });
-            }
-        }
-
-        // Fit in declaration order, so error reporting (first feature
-        // with no samples, first failing fit) matches the old
-        // per-feature walk exactly.
-        let mut library = FeatureLibrary::default();
-        for (i, bf) in learned.iter().enumerate() {
-            let feature = bf.feature.as_ref();
-            let dist = if feature.probability_model() == ProbabilityModel::LearnedJointKde {
-                let vectors = &vector_values[i];
-                if vectors.is_empty() {
-                    return Err(FixyError::NoTrainingData { feature: feature.name().to_string() });
-                }
-                FittedDistribution::Joint(KdeNd::fit(vectors).map_err(|e| FixyError::Fit {
-                    feature: feature.name().to_string(),
-                    error: e,
-                })?)
-            } else {
-                let values = &scalar_values[i];
-                if values.is_empty() {
-                    return Err(FixyError::NoTrainingData { feature: feature.name().to_string() });
-                }
-                fit_values(feature.name(), feature.probability_model(), values)?
-            };
-            library.insert(feature.name().to_string(), dist);
-        }
-        Ok(library)
+        let workers = pool_width();
+        let learned: Vec<&BoundFeature> = features.learned().collect();
+        let per_scene = run_ordered(workers, scenes, |_, scene| {
+            Ok::<_, FixyError>(collect_scene(&learned, scene))
+        })?;
+        fit_learned(workers, &learned, per_scene)
     }
+}
+
+/// Samples indexed like the learned features: scalar values, or
+/// vectors for joint features.
+struct Samples {
+    scalar: Vec<Vec<FeatureValue>>,
+    vector: Vec<Vec<Vec<f64>>>,
+}
+
+impl Samples {
+    fn new(features: usize) -> Self {
+        Samples {
+            scalar: vec![Vec::new(); features],
+            vector: vec![Vec::new(); features],
+        }
+    }
+}
+
+/// Collect every learned feature's samples from one scene.
+///
+/// One target traversal per *feature kind* rather than one per feature:
+/// every feature ranging over (say) tracks collects its values in the
+/// same walk, so adding features to an application costs fits, not
+/// scene re-traversals. Within a scene each feature's samples keep
+/// target order, exactly as a per-feature walk would.
+fn collect_scene(learned: &[&BoundFeature], scene: &Scene) -> Samples {
+    let mut samples = Samples::new(learned.len());
+    for kind in
+        [FeatureKind::Observation, FeatureKind::Bundle, FeatureKind::Transition, FeatureKind::Track]
+    {
+        let of_kind: Vec<usize> = (0..learned.len())
+            .filter(|&i| learned[i].feature.kind() == kind)
+            .collect();
+        if of_kind.is_empty() {
+            continue;
+        }
+        for_each_target(scene, kind, |target, _edges| {
+            for &i in &of_kind {
+                let feature = learned[i].feature.as_ref();
+                if feature.probability_model() == ProbabilityModel::LearnedJointKde {
+                    if let Some(v) = feature.vector_value(scene, &target) {
+                        samples.vector[i].push(v);
+                    }
+                } else if let Some(v) = feature.value(scene, &target) {
+                    samples.scalar[i].push(v);
+                }
+            }
+        });
+    }
+    samples
+}
+
+/// Concatenate the per-scene samples in scene order, then fit every
+/// learned feature on the pool. Errors come back in declaration order
+/// (the pool's lowest index wins): the first feature with no samples,
+/// or the first failing fit.
+fn fit_learned(
+    workers: usize,
+    learned: &[&BoundFeature],
+    per_scene: Vec<Samples>,
+) -> Result<FeatureLibrary, FixyError> {
+    let mut all = Samples::new(learned.len());
+    for scene in per_scene {
+        for (into, from) in all.scalar.iter_mut().zip(scene.scalar) {
+            into.extend(from);
+        }
+        for (into, from) in all.vector.iter_mut().zip(scene.vector) {
+            into.extend(from);
+        }
+    }
+    let jobs = learned.iter().zip(all.scalar).zip(all.vector);
+    let fitted = run_ordered(workers, jobs, |_, ((bf, values), vectors)| {
+        let feature = bf.feature.as_ref();
+        let name = feature.name();
+        let dist = if feature.probability_model() == ProbabilityModel::LearnedJointKde {
+            if vectors.is_empty() {
+                return Err(FixyError::NoTrainingData { feature: name.to_string() });
+            }
+            FittedDistribution::Joint(
+                KdeNd::fit(&vectors)
+                    .map_err(|e| FixyError::Fit { feature: name.to_string(), error: e })?,
+            )
+        } else {
+            if values.is_empty() {
+                return Err(FixyError::NoTrainingData { feature: name.to_string() });
+            }
+            fit_values(name, feature.probability_model(), &values)?
+        };
+        let prepared = dist.prepare();
+        Ok((name.to_string(), dist, prepared))
+    })?;
+    let mut library = FeatureLibrary::default();
+    for (name, dist, prepared) in fitted {
+        library.insert_prepared(name, dist, prepared);
+    }
+    Ok(library)
 }
 
 fn fit_values(

@@ -70,7 +70,8 @@ pub use feature::{BoundFeature, Feature, FeatureKind, FeatureSet, FeatureTarget,
 pub use incremental::IncrementalScorer;
 pub use learner::{FeatureLibrary, FittedDistribution, Learner, PreparedDistribution};
 pub use pipeline::{
-    merge_ranked, sort_ranked_scenes, BatchCandidate, RankedScene, ScenePipeline, SceneRanker,
+    merge_ranked, pool_width, run_ordered, sort_ranked_scenes, BatchCandidate, RankedScene,
+    ScenePipeline, SceneRanker,
 };
 pub use scene::{
     AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,

@@ -11,7 +11,7 @@
 //! ```text
 //!  SceneData ──┐
 //!  SceneData ──┼─► assemble ─► compile ─► score ─► rank ──┐
-//!  SceneData ──┘  (atomic-cursor fan-out, shared library)  ├─► merge
+//!  SceneData ──┘  (ordered worker pool, shared library)    ├─► merge
 //!                                                          ┘   (scene id, then score)
 //! ```
 //!
@@ -40,7 +40,7 @@ thread_local! {
 }
 
 /// Assemble through the calling thread's reusable engine.
-fn assemble_reusing_engine(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
+pub(crate) fn assemble_reusing_engine(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
     ASSEMBLY_ENGINE.with(|engine| {
         let mut engine = engine.borrow_mut();
         engine.set_config(*cfg);
@@ -208,6 +208,16 @@ impl<R: SceneRanker> ScenePipeline<R> {
         Ok(RankedScene { index, id: data.id.clone(), data, scene, candidates })
     }
 
+    /// Worker count of the fan-out: [`pool_width`], or 1 for a
+    /// [`sequential`](Self::sequential) pipeline.
+    fn workers(&self) -> usize {
+        if self.parallel {
+            pool_width()
+        } else {
+            1
+        }
+    }
+
     /// Assemble, compile, score, and rank every scene, returning
     /// per-scene results in input order. The first scene error aborts
     /// the batch.
@@ -222,18 +232,8 @@ impl<R: SceneRanker> ScenePipeline<R> {
     /// Like [`run`](ScenePipeline::run), but map each [`RankedScene`]
     /// through `post` inside the worker (hit resolution, metric
     /// extraction, …) so per-scene state is dropped before the batch
-    /// collects. Results keep input order.
-    ///
-    /// The fan-out is an atomic-cursor worker pool: each worker claims
-    /// the next scene index with one uncontended `fetch_add` (no shared
-    /// lock on the hot path), accumulates results worker-locally, and —
-    /// because a worker takes scenes until the cursor runs dry rather
-    /// than a fixed contiguous chunk — both load-balances uneven scenes
-    /// and amortizes its thread-local `AssemblyEngine` buffers across
-    /// everything it claims. Contiguous chunking did neither: at 8
-    /// scenes on 8 threads every chunk was a single scene, so every
-    /// scene paid a cold engine and the batch ran *slower* than
-    /// sequential (`pipeline/parallel/8` in `BENCH_pipeline.json`).
+    /// collects. Results keep input order. The scenes fan out on
+    /// [`run_ordered`].
     pub fn process<T, F>(
         &self,
         library: &FeatureLibrary,
@@ -244,88 +244,17 @@ impl<R: SceneRanker> ScenePipeline<R> {
         T: Send,
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
-        let indexed: Vec<(usize, SceneData)> = scenes.into_iter().enumerate().collect();
-        let workers =
-            if self.parallel { rayon::current_num_threads().min(indexed.len()) } else { 1 };
-        if workers <= 1 {
-            return indexed
-                .into_iter()
-                .map(|(i, data)| self.process_scene(i, data, library).map(&post))
-                .collect();
-        }
-
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        // Owned scenes parked in per-index slots; the cursor hands each
-        // index to exactly one worker, so every slot lock is uncontended.
-        let slots: Vec<Mutex<Option<SceneData>>> =
-            indexed.into_iter().map(|(_, data)| Mutex::new(Some(data))).collect();
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        // Lowest-index failure wins, as in the sequential path: indices
-        // are claimed in increasing order, so any lower-index failure is
-        // already in flight when index `k` fails and records its own win.
-        let first_error: Mutex<Option<(usize, FixyError)>> = Mutex::new(None);
-
-        let mut locals: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= slots.len() {
-                                break;
-                            }
-                            let data = slots[i]
-                                .lock()
-                                .expect("scene slot poisoned")
-                                .take()
-                                .expect("slot claimed twice");
-                            match self.process_scene(i, data, library) {
-                                Ok(ranked) => local.push((i, post(ranked))),
-                                Err(e) => {
-                                    let mut slot = first_error.lock().expect("error slot poisoned");
-                                    match &*slot {
-                                        Some((winner, _)) if *winner <= i => {}
-                                        _ => *slot = Some((i, e)),
-                                    }
-                                    stop.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                locals.push(h.join().expect("pipeline worker panicked"));
-            }
-        });
-
-        if let Some((_, error)) = first_error.into_inner().expect("error slot poisoned") {
-            return Err(error);
-        }
-        let mut flat: Vec<(usize, T)> = locals.into_iter().flatten().collect();
-        flat.sort_by_key(|&(index, _)| index);
-        Ok(flat.into_iter().map(|(_, value)| value).collect())
+        let scenes: Vec<SceneData> = scenes.into_iter().collect();
+        self.process_stream(library, scenes, Ok::<_, FixyError>, post)
     }
 
     /// Like [`process`](ScenePipeline::process), but over a *stream* of
     /// scenes, holding at most O(workers) scenes in memory.
     ///
-    /// The batch entry points materialize the whole input before fanning
-    /// out — fine for a handful of scenes, unaffordable for a
-    /// fleet-scale corpus directory. Here `sources` yields cheap scene
-    /// *tokens* (paths, seeds) which workers pull one at a time under a
-    /// lock, in input order; `load` then materializes the scene inside
-    /// the worker — so decode cost parallelizes instead of serializing
-    /// on the pull lock — and only `post`'s output is retained. `load`
+    /// `sources` yields cheap scene *tokens* (paths, seeds) which
+    /// workers pull one at a time, in input order; `load` then
+    /// materializes the scene inside the worker — so decode cost
+    /// parallelizes — and only `post`'s output is retained. `load`
     /// failures propagate like scene errors. Results keep input order
     /// and are byte-identical to the buffered path (`tests/ingest.rs`
     /// locks this); the returned error is always the lowest-index
@@ -346,13 +275,11 @@ impl<R: SceneRanker> ScenePipeline<R> {
         T: Send,
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
-        let workers = if self.parallel { rayon::current_num_threads() } else { 1 };
-        self.process_stream_with_workers(workers, library, sources, load, post)
+        self.process_stream_with_workers(self.workers(), library, sources, load, post)
     }
 
     /// [`process_stream`](Self::process_stream) with an explicit worker
-    /// count (the public wrapper picks the thread-pool width; tests pin
-    /// it to exercise the threaded branch on any host).
+    /// count (tests pin it to exercise the threaded branch on any host).
     fn process_stream_with_workers<S, T, F, L, E, I>(
         &self,
         workers: usize,
@@ -370,82 +297,10 @@ impl<R: SceneRanker> ScenePipeline<R> {
         T: Send,
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
-        if workers <= 1 {
-            // Sequential reference path: one scene in memory, first
-            // error aborts.
-            let mut out = Vec::new();
-            for (index, token) in sources.into_iter().enumerate() {
-                let data = load(token).map_err(Into::into)?;
-                out.push(post(self.process_scene(index, data, library)?));
-            }
-            return Ok(out);
-        }
-
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
-        let source = Mutex::new(sources.into_iter().enumerate());
-        // Lowest-index failure wins: tokens are pulled in input order, so
-        // by the time index `k` fails every scene before `k` was already
-        // pulled and will record its own (lower-index) failure if it has
-        // one — the winner is exactly the error the sequential path
-        // would have returned first.
-        let first_error: Mutex<Option<(usize, FixyError)>> = Mutex::new(None);
-        let stop = AtomicBool::new(false);
-        let record_error = |index: usize, error: FixyError| {
-            let mut slot = first_error.lock().expect("error slot poisoned");
-            match &*slot {
-                Some((winner, _)) if *winner <= index => {}
-                _ => *slot = Some((index, error)),
-            }
-            stop.store(true, Ordering::Relaxed);
-        };
-
-        // Workers buffer results locally; the only per-scene lock is the
-        // token pull (unavoidable — the source is a generic iterator).
-        let mut locals: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Only the token pull is serialized; the load
-                            // (file read, decode, generation) runs on this
-                            // worker.
-                            let next = source.lock().expect("scene source poisoned").next();
-                            let Some((index, token)) = next else { break };
-                            match load(token) {
-                                Err(e) => {
-                                    record_error(index, e.into());
-                                    break;
-                                }
-                                Ok(data) => match self.process_scene(index, data, library) {
-                                    Ok(ranked) => local.push((index, post(ranked))),
-                                    Err(e) => {
-                                        record_error(index, e);
-                                        break;
-                                    }
-                                },
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                locals.push(h.join().expect("pipeline worker panicked"));
-            }
-        });
-
-        if let Some((_, error)) = first_error.into_inner().expect("error slot poisoned") {
-            return Err(error);
-        }
-        let mut results: Vec<(usize, T)> = locals.into_iter().flatten().collect();
-        results.sort_by_key(|&(index, _)| index);
-        Ok(results.into_iter().map(|(_, value)| value).collect())
+        run_ordered(workers, sources, |index, token| {
+            let data = load(token).map_err(Into::into)?;
+            Ok(post(self.process_scene(index, data, library)?))
+        })
     }
 
     /// Run the batch and merge all candidates into one deterministic
@@ -458,6 +313,88 @@ impl<R: SceneRanker> ScenePipeline<R> {
     ) -> Result<Vec<BatchCandidate<R::Candidate>>, FixyError> {
         Ok(merge_ranked(self.run(library, scenes)?))
     }
+}
+
+/// The worker count batch work runs with: `RAYON_NUM_THREADS` if set,
+/// else the CPU count.
+pub fn pool_width() -> usize {
+    rayon::current_num_threads()
+}
+
+/// The worker pool every batch step runs on: batch `rank`, the training
+/// decode (`CorpusSource::load_all`) and the learner's per-scene sample
+/// collection and per-feature fits.
+///
+/// `work(index, item)` runs once per item of `items` on one of
+/// `workers` scoped threads (capped at the item count when the iterator
+/// knows it). Workers pull the next item from the shared input cursor
+/// one at a time, in input order, so uneven items balance themselves and
+/// a lazy iterator holds at most `workers` items in flight. With one
+/// worker (or one item) everything runs on the calling thread.
+///
+/// The contract, independent of `workers` and of timing:
+/// - results come back in input order;
+/// - the lowest-index error wins — items are pulled in order, so when
+///   item `k` fails every item before it is already in flight and
+///   records its own (lower-index) failure if it has one;
+/// - once an error is seen, workers take no further items.
+pub fn run_ordered<I, T, E, F>(workers: usize, items: I, work: F) -> Result<Vec<T>, E>
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    I::Item: Send,
+    T: Send,
+    E: Send,
+    F: Fn(usize, I::Item) -> Result<T, E> + Sync,
+{
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+
+    let items = items.into_iter();
+    let workers = items.size_hint().1.map_or(workers, |n| workers.min(n));
+    if workers <= 1 {
+        return items.enumerate().map(|(index, item)| work(index, item)).collect();
+    }
+
+    let cursor = Mutex::new(items.enumerate());
+    let stop = AtomicBool::new(false);
+    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let mut locals: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local: Vec<(usize, T)> = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let next = cursor.lock().expect("pool cursor poisoned").next();
+                        let Some((index, item)) = next else { break };
+                        match work(index, item) {
+                            Ok(value) => local.push((index, value)),
+                            Err(e) => {
+                                let mut slot = first_error.lock().expect("error slot poisoned");
+                                if slot.as_ref().is_none_or(|(winner, _)| index < *winner) {
+                                    *slot = Some((index, e));
+                                }
+                                stop.store(true, Ordering::Relaxed);
+                                break;
+                            }
+                        }
+                    }
+                    local
+                })
+            })
+            .collect();
+        for h in handles {
+            locals.push(h.join().expect("pool worker panicked"));
+        }
+    });
+
+    if let Some((_, error)) = first_error.into_inner().expect("error slot poisoned") {
+        return Err(error);
+    }
+    let mut results: Vec<(usize, T)> = locals.into_iter().flatten().collect();
+    results.sort_by_key(|&(index, _)| index);
+    Ok(results.into_iter().map(|(_, value)| value).collect())
 }
 
 /// Order per-scene results by the batch engine's deterministic merge
@@ -685,6 +622,42 @@ mod tests {
                 other => panic!("unexpected error shape: {other}"),
             }
         }
+    }
+
+    #[test]
+    fn run_ordered_keeps_order_and_reports_the_lowest_failing_index() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        for workers in 1..=4 {
+            let squares = run_ordered(workers, 0..50u64, |i, x| {
+                assert_eq!(i as u64, x, "index is the input position");
+                Ok::<_, String>(x * x)
+            });
+            assert_eq!(squares.unwrap(), (0..50u64).map(|x| x * x).collect::<Vec<_>>());
+
+            // Items 7 and 30 fail: item 7 wins at every worker count, and
+            // workers stop taking items once a failure is seen (items past
+            // 30 are slow, so running them all would take ~1 s).
+            let started = AtomicUsize::new(0);
+            let err = run_ordered(workers, 0..1000usize, |i, _| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if i == 7 || i == 30 {
+                    return Err(format!("item {i}"));
+                }
+                if i > 30 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Ok(i)
+            })
+            .unwrap_err();
+            assert_eq!(err, "item 7", "{workers} workers");
+            assert!(
+                started.load(Ordering::SeqCst) < 1000,
+                "{workers} workers ran every item"
+            );
+        }
+        let empty: Vec<u8> = run_ordered(3, Vec::<u8>::new(), |_, x| Ok::<_, ()>(x)).unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]

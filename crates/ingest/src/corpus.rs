@@ -61,7 +61,8 @@ pub fn load_scene_auto(path: &Path) -> Result<SceneData, IngestError> {
 /// Paths are collected and sorted up front — that is the deterministic
 /// merge order of the batch worklist — but scene bytes are only read
 /// when the iterator is pulled. Items are `Result`s so a decode failure
-/// aborts a streamed batch with the failing path attached.
+/// aborts a streamed batch; [`load_all`](Self::load_all) names the
+/// failing path.
 #[derive(Debug)]
 pub struct CorpusSource {
     paths: Vec<PathBuf>,
@@ -113,10 +114,22 @@ impl CorpusSource {
         self.paths
     }
 
-    /// Buffered convenience: load the whole corpus into memory (the
-    /// learner needs every training scene at once).
+    /// Load every remaining scene into memory, in path order — the
+    /// learner fits over the whole training set. Scenes decode on the
+    /// batch worker pool ([`fixy_core::run_ordered`]) with
+    /// [`fixy_core::pool_width`] workers, as batch `rank` does. The
+    /// scenes and their order do not depend on the worker count, and
+    /// neither does the error: [`IngestError::InFile`] for the first
+    /// failing path in sorted order.
     pub fn load_all(self) -> Result<Vec<SceneData>, IngestError> {
-        self.collect()
+        self.load_all_with_workers(fixy_core::pool_width())
+    }
+
+    fn load_all_with_workers(self, workers: usize) -> Result<Vec<SceneData>, IngestError> {
+        fixy_core::run_ordered(workers, &self.paths[self.next..], |_, path| {
+            load_scene_auto(path)
+                .map_err(|e| IngestError::InFile { path: path.clone(), error: Box::new(e) })
+        })
     }
 }
 
@@ -242,6 +255,45 @@ mod tests {
         fscb::write_scene(&tiny_scene("plain-fscb", 12), &fscb_path).unwrap();
         assert_eq!(load_scene_auto(&json_path).unwrap().id, "plain-json");
         assert_eq!(load_scene_auto(&fscb_path).unwrap().id, "plain-fscb");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_all_is_the_same_at_every_worker_count() {
+        let dir = tmp_dir("pool");
+        let path = |i: usize| dir.join(format!("s{i}.fscb"));
+        let write_clean = |i: usize| {
+            fscb::write_scene(&tiny_scene(&format!("s{i}"), 40 + i as u64), &path(i)).unwrap()
+        };
+        (0..6).for_each(write_clean);
+        let load =
+            |workers: usize| CorpusSource::open(&dir).unwrap().load_all_with_workers(workers);
+        let ids = |scenes: Vec<SceneData>| scenes.into_iter().map(|s| s.id).collect::<Vec<_>>();
+        for workers in 1..=4 {
+            assert_eq!(ids(load(workers).unwrap()), ["s0", "s1", "s2", "s3", "s4", "s5"]);
+        }
+
+        let first_error = |workers: usize| match load(workers) {
+            Err(IngestError::InFile { path, error }) => (path, error.to_string()),
+            other => panic!("{workers} workers: expected InFile, got {other:?}"),
+        };
+        for k in [0, 2, 4] {
+            // One corrupt file at index k: its path, at every count.
+            std::fs::write(path(k), b"FSCB-not-a-scene").unwrap();
+            let reference = first_error(1);
+            assert_eq!(reference.0, path(k));
+            assert!(reference.1.contains("corrupt binary scene"), "{}", reference.1);
+            for workers in 2..=4 {
+                assert_eq!(first_error(workers), reference, "{workers} workers, corrupt {k}");
+            }
+            // A second corrupt file later on: the lower index still wins.
+            std::fs::write(path(5), b"garbage").unwrap();
+            for workers in 1..=4 {
+                assert_eq!(first_error(workers), reference, "{workers} workers, two corrupt");
+            }
+            write_clean(k);
+            write_clean(5);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

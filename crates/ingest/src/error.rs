@@ -37,6 +37,8 @@ pub enum IngestError {
     NoFrameDelta,
     /// A corpus directory contains no `.json` or `.fscb` scenes.
     EmptyCorpus(PathBuf),
+    /// A corpus file failed to load; `error` is why.
+    InFile { path: PathBuf, error: Box<IngestError> },
 }
 
 impl std::fmt::Display for IngestError {
@@ -77,6 +79,7 @@ impl std::fmt::Display for IngestError {
             IngestError::EmptyCorpus(dir) => {
                 write!(f, "no .json or .fscb scenes in {}", dir.display())
             }
+            IngestError::InFile { path, error } => write!(f, "{}: {error}", path.display()),
         }
     }
 }

@@ -75,6 +75,7 @@ pub struct Metrics {
     pub bytes_out: Counter,
     pub cold_start_us: Gauge,
     pub frame_latency_us: Histogram,
+    pub frames_invalid: Counter,
     // Streaming ingest (loa_ingest).
     pub ingest_frames_pushed: Counter,
     pub reorder_released: Counter,
@@ -104,6 +105,7 @@ impl Metrics {
             bytes_out: Counter::new(),
             cold_start_us: Gauge::new(),
             frame_latency_us: Histogram::new(),
+            frames_invalid: Counter::new(),
             ingest_frames_pushed: Counter::new(),
             reorder_released: Counter::new(),
             reorder_parked: Counter::new(),
@@ -137,6 +139,7 @@ impl Metrics {
         self.bytes_out.reset();
         self.cold_start_us.reset();
         self.frame_latency_us.reset();
+        self.frames_invalid.reset();
         self.ingest_frames_pushed.reset();
         self.reorder_released.reset();
         self.reorder_parked.reset();
@@ -223,6 +226,12 @@ impl Metrics {
             "Service-wide per-frame latency, accept to rank (microseconds)",
             &[],
             &self.frame_latency_us,
+        );
+        text::push_counter(
+            &mut out,
+            "loa_frames_invalid_total",
+            "Frames rejected by per-frame validation (non-finite or degenerate contents)",
+            &self.frames_invalid,
         );
         text::push_counter(
             &mut out,

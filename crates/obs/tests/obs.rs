@@ -18,6 +18,7 @@ use proptest::prelude::*;
 fn prometheus_golden_format() {
     let m = Metrics::new();
     m.frames.add(7);
+    m.frames_invalid.add(2);
     m.active_sessions.set(3.0);
     m.cold_start_us.set(76.5);
     m.frame_latency_us.record(1); // bucket le="1"
@@ -29,6 +30,8 @@ fn prometheus_golden_format() {
         "# HELP loa_frames_total Frames scored by the audit service\n",
         "# TYPE loa_frames_total counter\n",
         "loa_frames_total 7\n",
+        "# TYPE loa_frames_invalid_total counter\n",
+        "loa_frames_invalid_total 2\n",
         "# TYPE loa_active_sessions gauge\n",
         "loa_active_sessions 3\n",
         "loa_cold_start_us 76.5\n",

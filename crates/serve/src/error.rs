@@ -29,6 +29,9 @@ pub enum ServeError {
     /// A frame failed [`loa_data::Frame::validate`]; `reason` is its
     /// message, the words batch `rank`'s whole-scene check uses.
     InvalidFrame { frame: u32, reason: String },
+    /// A stream was opened with a scene header batch `rank` rejects (a
+    /// NaN or non-positive `frame_dt`); `reason` is rank's message.
+    InvalidScene { reason: String },
     /// The server answered a request with an error message.
     Remote(String),
     /// The server hung up before answering.
@@ -64,7 +67,9 @@ impl std::fmt::Display for ServeError {
             ServeError::FrameLimit { frame, max } => {
                 write!(f, "frame {frame} is past the per-session frame budget ({max})")
             }
-            ServeError::InvalidFrame { reason, .. } => write!(f, "{reason}"),
+            ServeError::InvalidFrame { reason, .. } | ServeError::InvalidScene { reason } => {
+                write!(f, "{reason}")
+            }
             ServeError::Remote(msg) => write!(f, "server error: {msg}"),
             ServeError::ServerClosed => write!(f, "server closed the connection"),
         }
@@ -112,6 +117,9 @@ mod tests {
         assert_eq!(e.to_string(), "invalid detection box in frame 3");
         assert!(e.is_frame_recoverable());
         // Anything structural is hard.
+        let e = ServeError::InvalidScene { reason: "bad frame_dt NaN".into() };
+        assert_eq!(e.to_string(), "bad frame_dt NaN");
+        assert!(!e.is_frame_recoverable());
         let e: ServeError = IngestError::NotStreaming.into();
         assert!(!e.is_frame_recoverable());
         assert!(!ServeError::Protocol("x".into()).is_frame_recoverable());

@@ -76,7 +76,9 @@ impl<'c> AuditService<'c> {
     }
 
     /// Open a session. `session` ids are chosen by the client and must
-    /// not collide with a live session.
+    /// not collide with a live session. A `frame_dt` batch `rank`
+    /// rejects fails the open ([`ServeError::InvalidScene`]) and creates
+    /// no session.
     pub fn open(&mut self, session: u32, scene_id: &str, frame_dt: f64) -> Result<(), ServeError> {
         if self.sessions.contains_key(&session) {
             return Err(ServeError::SessionExists(session));
@@ -84,22 +86,27 @@ impl<'c> AuditService<'c> {
         if self.sessions.len() >= self.cfg.max_sessions {
             return Err(ServeError::SessionLimit { max: self.cfg.max_sessions });
         }
-        let pooled = self.pool.pop();
+        let (mut sess, reused) = match self.pool.pop() {
+            Some(sess) => (sess, true),
+            None => {
+                self.engines_built += 1;
+                (Session::new(self.ctx, self.cfg.window, self.cfg.max_frames), false)
+            }
+        };
+        if let Err(e) = sess.begin(scene_id, frame_dt) {
+            self.pool.push(sess);
+            return Err(e);
+        }
         if let Some(metrics) = loa_obs::recorder() {
             metrics.sessions_opened.inc();
             metrics.active_sessions.add(1.0);
-            if pooled.is_some() {
+            if reused {
                 metrics.engines_reused.inc();
             } else {
                 metrics.engines_built.inc();
             }
         }
         loa_obs::journal_event("session_open", session as u64, self.sessions.len() as u64 + 1);
-        let mut sess = pooled.unwrap_or_else(|| {
-            self.engines_built += 1;
-            Session::new(self.ctx, self.cfg.window, self.cfg.max_frames)
-        });
-        sess.begin(scene_id, frame_dt);
         self.sessions.insert(session, sess);
         Ok(())
     }

@@ -16,7 +16,7 @@ use crate::error::ServeError;
 use crate::protocol::{SessionStats, Worklist};
 use fixy_core::score::ScoreEngine;
 use fixy_core::{FeatureLibrary, FeatureSet, FixyError, IncrementalScorer, Scene};
-use loa_data::Frame;
+use loa_data::{Frame, SceneData};
 use loa_ingest::{ReorderBuffer, StreamingAssembler};
 
 /// The shared, read-only serving state: app, feature set, fitted
@@ -95,8 +95,12 @@ impl<'c> Session<'c> {
     }
 
     /// Start a stream: reset every engine (their buffers survive), the
-    /// scene, the worklist and the stats.
-    pub fn begin(&mut self, scene_id: &str, frame_dt: f64) {
+    /// scene, the worklist and the stats. A `frame_dt` batch `rank`
+    /// rejects is refused with rank's message
+    /// ([`ServeError::InvalidScene`]) and leaves the session untouched.
+    pub fn begin(&mut self, scene_id: &str, frame_dt: f64) -> Result<(), ServeError> {
+        SceneData::validate_frame_dt(frame_dt)
+            .map_err(|reason| ServeError::InvalidScene { reason })?;
         self.assembler.begin(frame_dt);
         self.scorer.begin();
         self.reorder.begin();
@@ -105,6 +109,7 @@ impl<'c> Session<'c> {
         self.worklist.clear();
         self.stats = SessionStats::default();
         self.latency = loa_obs::Histogram::new();
+        Ok(())
     }
 
     /// The partial scene over every released frame, grown in place.
@@ -130,9 +135,12 @@ impl<'c> Session<'c> {
         if index as usize >= self.max_frames {
             return Err(ServeError::FrameLimit { frame: index, max: self.max_frames });
         }
-        frame
-            .validate()
-            .map_err(|reason| ServeError::InvalidFrame { frame: index, reason })?;
+        if let Err(reason) = frame.validate() {
+            if let Some(metrics) = loa_obs::recorder() {
+                metrics.frames_invalid.inc();
+            }
+            return Err(ServeError::InvalidFrame { frame: index, reason });
+        }
         // One clock read per stage boundary for the whole frame.
         let clock = loa_obs::FrameClock::start();
         self.released.clear();

@@ -6,7 +6,7 @@
 //! multimodality via the IQR term — with Scott's rule and fixed bandwidths
 //! available for the ablation benchmarks.
 
-use crate::summary::{iqr, Welford};
+use crate::summary::{iqr, iqr_sorted, Welford};
 use serde::{Deserialize, Serialize};
 
 /// How to choose the KDE bandwidth from a training sample.
@@ -53,6 +53,18 @@ impl BandwidthRule {
     /// positive bandwidth proportional to the magnitude of the data, so the
     /// resulting KDE is a narrow spike rather than a division by zero.
     pub fn resolve(self, samples: &[f64]) -> Bandwidth {
+        self.resolve_with(samples, || iqr(samples))
+    }
+
+    /// [`resolve`](Self::resolve) for a caller that already holds a
+    /// sorted copy of `samples`: the IQR is read from `sorted` instead
+    /// of sorting again. σ̂ still folds `samples` in input order, so the
+    /// bandwidth is bit-identical to `resolve(samples)`.
+    pub fn resolve_sorted(self, samples: &[f64], sorted: &[f64]) -> Bandwidth {
+        self.resolve_with(samples, || iqr_sorted(sorted))
+    }
+
+    fn resolve_with(self, samples: &[f64], iqr: impl FnOnce() -> f64) -> Bandwidth {
         let h = match self {
             BandwidthRule::Fixed(h) => h,
             BandwidthRule::Scott => {
@@ -62,7 +74,7 @@ impl BandwidthRule {
             BandwidthRule::Silverman => {
                 let w = Welford::from_slice(samples);
                 let sigma = w.std_dev();
-                let iqr_scaled = iqr(samples) / 1.34;
+                let iqr_scaled = iqr() / 1.34;
                 let spread = if iqr_scaled > 0.0 { sigma.min(iqr_scaled) } else { sigma };
                 0.9 * spread * (samples.len() as f64).powf(-0.2)
             }
@@ -142,6 +154,19 @@ mod tests {
                 let h = rule.resolve(&xs);
                 prop_assert!(h.value() > 0.0);
                 prop_assert!(h.value().is_finite());
+            }
+        }
+
+        #[test]
+        fn prop_presorted_resolve_is_bit_identical(
+            xs in proptest::collection::vec(-1e4f64..1e4, 1..200),
+        ) {
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for rule in [BandwidthRule::Silverman, BandwidthRule::Scott, BandwidthRule::Fixed(0.5)] {
+                let a = rule.resolve(&xs).value();
+                let b = rule.resolve_sorted(&xs, &sorted).value();
+                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

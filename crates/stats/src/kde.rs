@@ -36,9 +36,9 @@ impl Kde1d {
         rule: BandwidthRule,
     ) -> Result<Self, FitError> {
         validate_sample(samples)?;
-        let bandwidth = rule.resolve(samples);
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+        let bandwidth = rule.resolve_sorted(samples, &sorted);
         let mut kde = Kde1d {
             samples: sorted,
             kernel,

@@ -122,8 +122,16 @@ pub fn iqr(xs: &[f64]) -> f64 {
     }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let q3 = quantile(&sorted, 0.75).unwrap_or(0.0);
-    let q1 = quantile(&sorted, 0.25).unwrap_or(0.0);
+    iqr_sorted(&sorted)
+}
+
+/// Interquartile range of an already-sorted sample.
+pub fn iqr_sorted(sorted: &[f64]) -> f64 {
+    if sorted.len() < 2 {
+        return 0.0;
+    }
+    let q3 = quantile(sorted, 0.75).unwrap_or(0.0);
+    let q1 = quantile(sorted, 0.25).unwrap_or(0.0);
     q3 - q1
 }
 

@@ -330,3 +330,103 @@ fn all_three_applications_run_on_one_scene() {
     me.rank(&model_scene, &me_lib, &Default::default())
         .expect("model errors");
 }
+
+/// The learner's worker pool is invisible in the library: fitting on 1,
+/// 2 and 3 workers writes byte-identical `.flcb` bytes for every app's
+/// feature set and assembly preset, and for a feature set with a joint
+/// KDE. `fit` and `fit_assembled` on the thread-pool width agree too.
+#[test]
+fn learner_pool_writes_identical_libraries_at_every_worker_count() {
+    use fixy::core::features::{MotionVectorFeature, VelocityFeature, VolumeFeature};
+    use fixy::core::flcb::encode_library;
+    use fixy::core::BoundFeature;
+    use fixy::serve::ServeApp;
+    use std::sync::Arc;
+
+    let train = fixy::data::ScenarioFuzzer::new(41).training_corpus(5);
+    let joint = FeatureSet::new(vec![
+        BoundFeature::plain(Arc::new(VolumeFeature)),
+        BoundFeature::plain(Arc::new(MotionVectorFeature)),
+        BoundFeature::plain(Arc::new(VelocityFeature)),
+    ]);
+    let mut cases: Vec<(&str, AssemblyConfig, FeatureSet)> = ServeApp::ALL
+        .iter()
+        .map(|app| (app.name(), app.assembly(), app.feature_set()))
+        .collect();
+    cases.push(("joint", Learner::new().assembly, joint));
+
+    for (name, assembly, features) in &cases {
+        let learner = Learner { assembly: *assembly };
+        let fit = |workers| {
+            let library = learner.fit_with_workers(workers, features, &train).expect("fit");
+            encode_library(name, &library)
+        };
+        let reference = fit(1);
+        for workers in [2, 3] {
+            assert!(
+                fit(workers) == reference,
+                "{name}: {workers} workers changed the library"
+            );
+        }
+        let library = learner.fit(features, &train).expect("fit");
+        assert!(encode_library(name, &library) == reference, "{name}: fit");
+        let assembled: Vec<Scene> =
+            train.iter().map(|data| Scene::assemble(data, assembly)).collect();
+        let library = learner.fit_assembled(features, &assembled).expect("fit_assembled");
+        assert!(encode_library(name, &library) == reference, "{name}: fit_assembled");
+    }
+    let joint_library = Learner::new().fit(&cases[4].2, &train).unwrap();
+    assert!(matches!(
+        joint_library.get("motion_vector"),
+        Some(fixy::core::FittedDistribution::Joint(_))
+    ));
+}
+
+/// A feature that never applies: it collects no samples.
+#[derive(Debug)]
+struct NeverFeature(&'static str);
+
+impl Feature for NeverFeature {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn kind(&self) -> FeatureKind {
+        FeatureKind::Observation
+    }
+
+    fn value(&self, _scene: &Scene, _target: &FeatureTarget<'_>) -> Option<FeatureValue> {
+        None
+    }
+}
+
+/// The first *declared* feature with no samples is the error, at every
+/// worker count — even when a later one, or one of another kind, has
+/// none either.
+#[test]
+fn first_declared_feature_without_samples_is_the_error_at_every_worker_count() {
+    use fixy::core::features::{VelocityFeature, VolumeFeature};
+    use fixy::core::BoundFeature;
+    use std::sync::Arc;
+
+    let train = fixy::data::ScenarioFuzzer::new(43).training_corpus(3);
+    let features = FeatureSet::new(vec![
+        BoundFeature::plain(Arc::new(VolumeFeature)),
+        BoundFeature::plain(Arc::new(NeverFeature("never_first"))),
+        BoundFeature::plain(Arc::new(VelocityFeature)),
+        BoundFeature::plain(Arc::new(NeverFeature("never_second"))),
+    ]);
+    for workers in 1..=4 {
+        match Learner::new().fit_with_workers(workers, &features, &train) {
+            Err(FixyError::NoTrainingData { feature }) => {
+                assert_eq!(feature, "never_first", "{workers} workers")
+            }
+            other => panic!("{workers} workers: expected NoTrainingData, got {other:?}"),
+        }
+        // No scenes at all: the first learned feature is the error.
+        match Learner::new().fit_with_workers(workers, &features, &[]) {
+            Err(FixyError::NoTrainingData { feature }) => assert_eq!(feature, "volume"),
+            other => panic!("{workers} workers, no scenes: got {other:?}"),
+        }
+    }
+}

@@ -14,7 +14,7 @@ use fixy::core::{Learner, Scene};
 use fixy::data::{ScenarioFuzzer, SceneData};
 use fixy::serve::{
     delivery_order, serve, AuditService, FeedClient, ServeApp, ServeContext, ServeError,
-    ServiceCfg, Worklist,
+    ServiceCfg, Session, Worklist,
 };
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -133,6 +133,10 @@ fn invalid_frame_is_rejected_counted_and_recovered() {
 
     let mut bad = data.frames[k].clone();
     bad.detections[0].bbox.center.x = f64::NAN;
+    // No other test in this binary sends an invalid frame, so the
+    // global counter moves by exactly this test's one rejection.
+    fixy::obs::enable_metrics();
+    let invalid_before = fixy::obs::global().frames_invalid.get();
     let mut svc = AuditService::new(ctx, cfg);
     svc.open(0, &data.id, data.frame_dt).unwrap();
     for frame in &data.frames[..k - 1] {
@@ -145,6 +149,10 @@ fn invalid_frame_is_rejected_counted_and_recovered() {
     assert_eq!(mid.parked, 0, "the invalid frame never reached the buffer");
     let first = mid.first_reject.as_deref().expect("first reject kept");
     assert_eq!(first, format!("invalid detection box in frame {k}"));
+    assert_eq!(fixy::obs::global().frames_invalid.get() - invalid_before, 1);
+    assert!(fixy::obs::global()
+        .render_prometheus()
+        .contains("# TYPE loa_frames_invalid_total counter"));
 
     for frame in &data.frames[k - 1..] {
         svc.frame(0, frame.clone()).unwrap();
@@ -154,6 +162,67 @@ fn invalid_frame_is_rejected_counted_and_recovered() {
     assert_eq!(got.stats.duplicates_dropped, 0, "the valid copy was not a duplicate");
     assert_eq!(got.stats.frames, data.frames.len() as u64);
     assert_same_list(&got.entries, &want.entries, "invalid-frame recovery");
+}
+
+/// A scene header batch `rank` rejects (NaN or non-positive
+/// `frame_dt`) gets rank's verdict from a streamed session and from an
+/// `OPEN`, in-process and over TCP, and the refused open creates no
+/// session.
+#[test]
+fn bad_frame_dt_gets_ranks_verdict_on_every_surface() {
+    let ctx = &contexts()[0];
+    let dir = std::env::temp_dir().join(format!("fixy_serve_bad_dt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || serve(listener, &contexts()[0], ServiceCfg::default()));
+    let mut client = FeedClient::connect(addr).expect("connect");
+
+    let good = ScenarioFuzzer::new(5).scene(0);
+    for (k, frame_dt) in [f64::NAN, 0.0, -0.1, f64::INFINITY].into_iter().enumerate() {
+        let mut data = good.clone();
+        data.frame_dt = frame_dt;
+        let path = dir.join(format!("bad-{k}.fscb"));
+        fixy::ingest::write_scene(&data, &path).unwrap();
+        // Batch rank's verdict: the loader's whole-scene validation.
+        let reason = match fixy::ingest::load_scene_auto(&path) {
+            Err(fixy::ingest::IngestError::Scene(fixy::data::io::IoError::Invalid(r))) => r,
+            other => panic!("rank accepted frame_dt {frame_dt}: {other:?}"),
+        };
+        assert_eq!(reason, format!("bad frame_dt {frame_dt}"));
+
+        // `fixy stream`'s verdict: the session refuses to begin.
+        let mut session = Session::new(ctx, 1, usize::MAX);
+        match session.begin(&data.id, frame_dt) {
+            Err(ServeError::InvalidScene { reason: got }) => assert_eq!(got, reason),
+            other => panic!("stream began with frame_dt {frame_dt}: {other:?}"),
+        }
+
+        // `fixy serve`'s verdict, in-process: no session is created,
+        // and the id is free for a valid open.
+        let mut svc = AuditService::new(ctx, ServiceCfg::default());
+        match svc.open(3, &data.id, frame_dt) {
+            Err(ServeError::InvalidScene { reason: got }) => assert_eq!(got, reason),
+            other => panic!("OPEN accepted frame_dt {frame_dt}: {other:?}"),
+        }
+        assert_eq!(svc.open_sessions(), 0);
+        assert!(matches!(svc.peek(3), Err(ServeError::UnknownSession(3))));
+        svc.open(3, &good.id, good.frame_dt).expect("the id is still free");
+
+        // ... and over TCP, where the connection survives the refusal.
+        match client.open(k as u32, &data.id, frame_dt) {
+            Err(ServeError::Remote(got)) => assert_eq!(got, reason),
+            other => panic!("TCP OPEN accepted frame_dt {frame_dt}: {other:?}"),
+        }
+    }
+    client
+        .open(9, &good.id, good.frame_dt)
+        .expect("valid open after refusals");
+    client.close_session(9).expect("close");
+    client.shutdown().expect("shutdown");
+    let summary = server.join().expect("server thread").expect("serve result");
+    assert_eq!(summary.sessions, 1, "refused opens are not sessions");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A frame beyond the reorder window is rejected recoverably: counted,
